@@ -1,8 +1,8 @@
 """The exact-rational group algebra of B_n and its descent-type idempotents.
 
 Elements are sparse dictionaries {signed permutation: Fraction}.  Products
-go through the convolution kernel on a shared-denominator integer encoding
-(hyperoct.kernels picks the compiled or pure backend at import).
+go through the convolution kernel (hyperoct.kernels) on a
+shared-denominator integer encoding.
 
 The idempotents built here live in the Mantaci-Reutenauer subalgebra: the
 shape-sum basis, the classical descent-set sums of the symmetric group,
@@ -18,7 +18,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from . import kernels
 from .characters import ClassFunction
@@ -252,14 +252,7 @@ def vazirani_idempotent(lam: SignedPartition) -> AlgebraElement:
     for p in signed_compositions(n):
         if composition_sort(p) == lam:
             total = total + i_p(p)
-    return Fraction(1, _factorial(parts)) * total
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return Fraction(1, factorial(parts)) * total
 
 
 def g_k(n: int, k: int) -> AlgebraElement:
@@ -287,7 +280,7 @@ def eulerian_idempotents_typeA(
         total = AlgebraElement.zero(n)
         for p in distinct_reorderings(lam):
             total = total + _gr_chain(n, p)
-        by_partition[lam] = Fraction(1, _factorial(len(lam))) * total
+        by_partition[lam] = Fraction(1, factorial(len(lam))) * total
     e_ks = []
     for k in range(n):
         ek = AlgebraElement.zero(n)

@@ -168,7 +168,7 @@ def evaluation_matrix(n: int, ring: PresentedRing | None = None):
                 if not v:
                     break
             mat[r, c] = v
-    rank, certified = full_rank_certificate(mat)
+    rank = full_rank_certificate(mat)
     if rank != group_order(n):
         raise AssertionError(
             f"evaluation matrix rank {rank} != {group_order(n)}; basis is dependent"

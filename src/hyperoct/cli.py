@@ -3,7 +3,8 @@
     hyperoct verify <suite> --n <k> [--format json|text] [--out FILE]
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error
-(unknown suite, or n outside the suite's documented bound).  Set
+(unknown suite, or n outside the suite's documented bound), 3 internal
+error (an exception escaped the suite; the traceback goes to stderr).  Set
 HYPEROCT_CACHE to a directory to persist character tables and rewrite
 tables between runs; reports are deterministic apart from elapsed_ms.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .suites import SUITE_BOUNDS, SUITE_ORDER, SuiteUsageError, run_suite
 
@@ -45,6 +47,9 @@ def main(argv=None) -> int:
     except SuiteUsageError as exc:
         print(f"hyperoct: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,42 +1,25 @@
-"""Backend selection for the convolution hot loop.
+"""The convolution hot loop of the group algebra.
 
-Imports the compiled Cython kernel when present, otherwise falls back to
-the pure-Python implementation.  HYPEROCT_PURE_PYTHON=1 forces the
-fallback (used by tests and the benchmark to compare both paths).
+One interpreted kernel over exact Python integers.  The Cayley table is
+consumed as nested lists (scalar numpy indexing is slower than list access
+in interpreted loops).
 """
 
 from __future__ import annotations
 
-import os
-
 from .groupdata import GroupData
 
-try:
-    if os.environ.get("HYPEROCT_PURE_PYTHON") == "1":
-        raise ImportError("forced pure-Python backend")
-    from . import _kernels  # type: ignore[attr-defined]
-
-    BACKEND = "cython"
-except ImportError:
-    _kernels = None
-    BACKEND = "python"
-
-from . import _kernels_py
+BACKEND = "python"
 
 
 def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> list[int]:
     """Dense list of integer coefficients of the convolution product."""
-    if _kernels is not None:
-        return _kernels.convolve_dense(
-            idx_a, coef_a, idx_b, coef_b, group.table, group.order
-        )
-    return _kernels_py.convolve_dense_rows(
-        idx_a, coef_a, idx_b, coef_b, group.table_rows(), group.order
-    )
-
-
-def convolve_dense_python(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> list[int]:
-    """Always use the interpreted kernel (for backend-agreement checks)."""
-    return _kernels_py.convolve_dense_rows(
-        idx_a, coef_a, idx_b, coef_b, group.table_rows(), group.order
-    )
+    rows = group.table_rows()
+    out = [0] * group.order
+    pairs_b = list(zip(idx_b, coef_b))
+    for ia, ca in zip(idx_a, coef_a):
+        row = rows[ia]
+        for ib, cb in pairs_b:
+            k = row[ib]
+            out[k] += ca * cb
+    return out

@@ -61,8 +61,8 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def full_rank_certificate(matrix) -> tuple[int, bool]:
-    """(rank, certified) for a square-or-wide integer 0/1 matrix.
+def full_rank_certificate(matrix) -> int:
+    """Exact rank of a square-or-wide integer 0/1 matrix.
 
     The mod-p rank certifies fullness when it equals the row count; a
     deficient mod-p rank falls back to exact elimination.
@@ -70,6 +70,5 @@ def full_rank_certificate(matrix) -> tuple[int, bool]:
     m = np.asarray(matrix)
     r = rank_mod_p(m)
     if r == min(m.shape):
-        return r, True
-    exact = rank_exact([[Fraction(int(x)) for x in row] for row in m])
-    return exact, True
+        return r
+    return rank_exact([[Fraction(int(x)) for x in row] for row in m])

@@ -300,18 +300,18 @@ class PresentedRing:
             if self.graded:
                 # pair*loop and the mixed pair/pair straightenings
                 rels.append(
-                    _poly_sub(
+                    poly_sub(
                         self._free_product([zab, za]),
-                        _poly_add(
+                        poly_add(
                             self._free_product([zab, zb]),
                             self._free_product([za, zb]),
                         ),
                     )
                 )
                 rels.append(
-                    _poly_sub(
+                    poly_sub(
                         self._free_product([zb, zab_neg]),
-                        _poly_add(
+                        poly_add(
                             self._free_product([zab, zab_neg]),
                             self._free_product([zb, zab]),
                         ),
@@ -319,13 +319,13 @@ class PresentedRing:
                 )
             else:
                 rels.append(
-                    _poly_add(
+                    poly_add(
                         self._free_product([zab, za, one_minus(zb)]),
                         self._free_product([one_minus(zab), one_minus(za), zb]),
                     )
                 )
                 rels.append(
-                    _poly_add(
+                    poly_add(
                         self._free_product([zb, zab_neg, one_minus(zab)]),
                         self._free_product([one_minus(zb), one_minus(zab_neg), zab]),
                     )
@@ -338,9 +338,9 @@ class PresentedRing:
             zac = self._linear(self.canonical_pair(a, c))
             if self.graded:
                 rels.append(
-                    _poly_sub(
+                    poly_sub(
                         self._free_product([zab, zbc]),
-                        _poly_add(
+                        poly_add(
                             self._free_product([zab, zac]),
                             self._free_product([zbc, zac]),
                         ),
@@ -348,7 +348,7 @@ class PresentedRing:
                 )
             else:
                 rels.append(
-                    _poly_add(
+                    poly_add(
                         self._free_product([zab, zbc, one_minus(zac)]),
                         self._free_product([one_minus(zab), one_minus(zbc), zac]),
                     )
@@ -603,15 +603,15 @@ class PresentedRing:
         return out
 
 
-def _poly_add(p, q):
+def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
         out[m] = out.get(m, Fraction(0)) + c
     return {m: c for m, c in out.items() if c}
 
 
-def _poly_sub(p, q):
-    return _poly_add(p, {m: -c for m, c in q.items()})
+def poly_sub(p, q):
+    return poly_add(p, {m: -c for m, c in q.items()})
 
 
 @lru_cache(maxsize=None)
@@ -629,13 +629,6 @@ def hilbert_coefficients(rank: int) -> list[int]:
             nxt[d + 1] += (2 * i - 1) * c
         coeffs = nxt
     return coeffs
-
-
-def hilbert_series(n: int, space: str) -> list[int]:
-    """Basis counts by combinatorial degree (cohomological degree 2k for d=3)."""
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
-    return hilbert_coefficients(n)
 
 
 # ---------------------------------------------------------------------------

@@ -690,30 +690,20 @@ def _suite_bigrading(n: int, rec: _Recorder):
 
 def _suite_equivariant(n: int, rec: _Recorder):
     relset = eqmod.equivariant_relations(n)
-    graded = get_ring("Z3", n)
-    unhomog = get_ring("Z1", n)
-    bad0 = sum(
-        1 for p in eqmod.specialize(relset, 0) if not graded.reduce_raw(p).is_zero()
-    )
-    rec.record(
-        "specialize-to-graded",
-        "equivariant-ideal-specializes-at-zero",
-        bad0 == 0,
-        f"all {len(relset)} orbit relations vanish in the graded ring at u=0"
-        if bad0 == 0
-        else f"{bad0} relations fail",
-    )
-    bad1 = sum(
-        1 for p in eqmod.specialize(relset, 1) if not unhomog.reduce_raw(p).is_zero()
-    )
-    rec.record(
-        "specialize-to-function-ring",
-        "equivariant-ideal-specializes-at-one",
-        bad1 == 0,
-        f"all {len(relset)} orbit relations vanish in the function ring at u=1"
-        if bad1 == 0
-        else f"{bad1} relations fail",
-    )
+    total = len(relset)
+    count0, count1 = eqmod.verify_specializations(relset)
+    for check_id, at, where, count in (
+        ("specialize-to-graded", "zero", "the graded ring at u=0", count0),
+        ("specialize-to-function-ring", "one", "the function ring at u=1", count1),
+    ):
+        rec.record(
+            check_id,
+            f"equivariant-ideal-specializes-at-{at}",
+            count == total,
+            f"all {total} orbit relations vanish in {where}"
+            if count == total
+            else f"{total - count} relations fail",
+        )
 
 
 def _cyclic_relation_sweep(n: int) -> int:

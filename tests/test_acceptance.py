@@ -255,7 +255,7 @@ def test_criterion_12_chamber_semantics():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_criterion_13_equivariant_specializations(n):
-    count0, count1 = verify_specializations(n)
+    count0, count1 = verify_specializations(equivariant_relations(n))
     total = len(equivariant_relations(n))
     assert count0 == count1 == total
     _report(13, f"n={n}: all {total} orbit relations vanish under both specializations")

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hyperoct
 from hyperoct import cache
 from hyperoct.cli import main
 from hyperoct.suites import SUITE_BOUNDS, SuiteUsageError, run_suite
@@ -44,9 +46,12 @@ def test_cli_usage_error_exit_code(capsys):
 
 
 def test_cli_unknown_suite_exits_two():
+    src = os.path.dirname(os.path.dirname(hyperoct.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hyperoct.cli", "verify", "bogus", "--n", "2"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 
@@ -59,6 +64,15 @@ def test_cli_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr("hyperoct.cli.run_suite", fake)
     assert main(["verify", "hilbert", "--n", "2"]) == 1
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    def broken(suite, n):
+        raise AssertionError("evaluation matrix rank 7 != 8")
+
+    monkeypatch.setattr("hyperoct.cli.run_suite", broken)
+    assert main(["verify", "hilbert", "--n", "2"]) == 3
+    assert "AssertionError: evaluation matrix rank" in capsys.readouterr().err
 
 
 def test_reports_deterministic_with_cold_and_warm_cache(tmp_path, monkeypatch):

@@ -74,7 +74,7 @@ def test_loop_pair_relation_at_one_is_the_mixed_support_relation():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_specializations_vanish(n):
-    count0, count1 = verify_specializations(n)
+    count0, count1 = verify_specializations(equivariant_relations(n))
     assert count0 == count1 == len(equivariant_relations(n))
 
 

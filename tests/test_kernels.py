@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hyperoct import kernels
 from hyperoct.algebra import AlgebraElement
 from hyperoct.groupdata import get_group
@@ -25,18 +27,35 @@ def test_conjugates_column():
             assert group.elements[conj[xi]] == expected
 
 
-def test_backends_agree_on_random_products():
-    rng = random.Random(12345)
-    group = get_group(3)
-    elems = list(group.elements)
-    for _ in range(10):
-        idx_a = [group.index[g] for g in rng.sample(elems, 7)]
-        idx_b = [group.index[g] for g in rng.sample(elems, 9)]
-        coef_a = [rng.randint(-50, 50) for _ in idx_a]
-        coef_b = [rng.randint(-50, 50) for _ in idx_b]
-        fast = kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b)
-        slow = kernels.convolve_dense_python(group, idx_a, coef_a, idx_b, coef_b)
-        assert fast == slow
+def _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b):
+    out = [0] * group.order
+    for ia, ca in zip(idx_a, coef_a):
+        for ib, cb in zip(idx_b, coef_b):
+            out[group.index[compose(group.elements[ia], group.elements[ib])]] += ca * cb
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, size_a, size_b, bound",
+    [
+        (2, 3, 8, 50),
+        (3, 7, 9, 50),
+        (3, 48, 48, 5),
+        (4, 20, 30, 50),
+        (4, 384, 3, 2**40),  # max|a| * max|b| * |B_4| = 384 * 2^80 >= 2^62
+    ],
+)
+def test_convolve_dense_matches_double_sum(n, size_a, size_b, bound):
+    rng = random.Random(1000 * n + size_a)
+    group = get_group(n)
+    for _ in range(3):
+        idx_a = rng.sample(range(group.order), size_a)
+        idx_b = rng.sample(range(group.order), size_b)
+        coef_a = [rng.randint(-bound, bound) for _ in idx_a]
+        coef_b = [rng.randint(-bound, bound) for _ in idx_b]
+        coef_a[0], coef_b[0] = bound, -bound
+        expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
+        assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b) == expected
 
 
 def test_convolution_matches_definition():
@@ -56,6 +75,3 @@ def test_convolution_matches_definition():
     expected = {k: v for k, v in expected.items() if v}
     assert (a * b).coeffs == expected
 
-
-def test_backend_reports_identity():
-    assert kernels.BACKEND in ("cython", "python")

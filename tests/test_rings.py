@@ -19,7 +19,6 @@ from hyperoct.rings import (
     RingElement,
     get_ring,
     hilbert_coefficients,
-    hilbert_series,
     type_of,
 )
 
@@ -85,9 +84,8 @@ def test_basis_counts_match_hilbert_series(n):
 
 
 def test_hilbert_series_values():
-    assert hilbert_series(2, "Z3") == [1, 4, 3]
-    assert hilbert_series(3, "Z3") == [1, 9, 23, 15]
-    assert hilbert_series(2, "Y1") == [1, 4, 3]
+    assert hilbert_coefficients(2) == [1, 4, 3]
+    assert hilbert_coefficients(3) == [1, 9, 23, 15]
 
 
 @pytest.mark.parametrize("space", ["Z1", "Z3", "Y1", "Y3"])
