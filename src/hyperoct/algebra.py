@@ -51,8 +51,11 @@ class AlgebraElement:
 
     def __init__(self, n: int, coeffs: dict[SignedPerm, Fraction] | None = None):
         self.n = n
+        # Fractions are immutable, so an exact Fraction is kept as it is
         self.coeffs = {
-            g: Fraction(c) for g, c in (coeffs or {}).items() if c
+            g: c if type(c) is Fraction else Fraction(c)
+            for g, c in (coeffs or {}).items()
+            if c
         }
 
     # -- construction -----------------------------------------------------
@@ -90,11 +93,9 @@ class AlgebraElement:
         return AlgebraElement(self.n, {g: scalar * c for g, c in self.coeffs.items()})
 
     def _scaled(self, group):
-        den = lcm(*(c.denominator for c in self.coeffs.values())) if self.coeffs else 1
-        idx, num = [], []
-        for g, c in self.coeffs.items():
-            idx.append(group.index[g])
-            num.append(c.numerator * (den // c.denominator))
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        idx = [group.index[g] for g in self.coeffs]
+        num = [c.numerator * (den // c.denominator) for c in self.coeffs.values()]
         return idx, num, den
 
     def __mul__(self, other) -> "AlgebraElement":
@@ -108,10 +109,11 @@ class AlgebraElement:
         idx_b, num_b, den_b = other._scaled(group)
         dense = kernels.convolve_dense(group, idx_a, num_a, idx_b, num_b)
         den = den_a * den_b
-        return AlgebraElement(
-            self.n,
-            {group.elements[k]: Fraction(v, den) for k, v in enumerate(dense) if v},
-        )
+        # the coefficients are already nonzero Fractions: skip __init__'s pass
+        out = AlgebraElement.__new__(AlgebraElement)
+        out.n = self.n
+        out.coeffs = {g: Fraction(v, den) for g, v in zip(group.elements, dense) if v}
+        return out
 
     def __eq__(self, other):
         return (

@@ -9,18 +9,12 @@ elements[j]`` (apply j first).  Sizes stay modest at desk scale
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .permutations import (
-    SignedPerm,
-    all_signed_perms,
-    compose,
-    identity,
-    inverse,
-)
+from .permutations import SignedPerm, all_signed_perms, identity
 
 
 @dataclass
@@ -30,7 +24,6 @@ class GroupData:
     index: dict[SignedPerm, int]
     table: np.ndarray  # int32, table[i, j] = index(elements[i] o elements[j])
     inv: np.ndarray  # int32
-    _rows: list[list[int]] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -39,12 +32,6 @@ class GroupData:
     @property
     def identity_index(self) -> int:
         return self.index[identity(self.n)]
-
-    def table_rows(self) -> list[list[int]]:
-        """Cayley table as nested lists; faster for pure-Python inner loops."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
 
     def conjugates(self, g: int) -> np.ndarray:
         """Indices of x g x^{-1} for every x, as an array over x."""
@@ -57,10 +44,24 @@ def get_group(n: int) -> GroupData:
     elements = tuple(sorted(all_signed_perms(n)))
     index = {g: i for i, g in enumerate(elements)}
     order = len(elements)
+    perms = np.array(elements, dtype=np.int8).reshape(order, n)
+    # an element's key reads its one-line entries s(p) + n as base-(2n+1) digits
+    weights = (2 * n + 1) ** np.arange(n, dtype=np.int32)
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        return np.einsum("...p,p->...", rows, weights) + n * int(weights.sum())
+
+    lookup = np.zeros((2 * n + 1) ** n, dtype=np.int32)
+    lookup[keys(perms)] = np.arange(order, dtype=np.int32)
+    # (g o h)(p) = sign(h(p)) * g(|h(p)|): gather from g's entries by h's
+    positions = np.abs(perms).astype(np.intp) - 1
+    signs = np.sign(perms)
     table = np.empty((order, order), dtype=np.int32)
-    for i, g in enumerate(elements):
-        row = table[i]
-        for j, h in enumerate(elements):
-            row[j] = index[compose(g, h)]
-    inv = np.array([index[inverse(g)] for g in elements], dtype=np.int32)
+    block = max(1, order // max(n, 1))  # keeps each block's arrays within the table's size
+    for start in range(0, order, block):
+        rows = perms[start : start + block]
+        table[start : start + block] = lookup[keys(rows[:, positions] * signs)]
+    inverses = np.empty_like(perms)
+    inverses[np.arange(order)[:, None], positions] = signs * np.arange(1, n + 1, dtype=np.int8)
+    inv = lookup[keys(inverses)]
     return GroupData(n, elements, index, table, inv)

@@ -706,9 +706,14 @@ def _suite_equivariant(n: int, rec: _Recorder):
         )
 
 
-def _cyclic_relation_sweep(n: int) -> int:
+def _sweep_failure(relation: str, labels: str, ch) -> str:
+    return f"{relation} fails at ({labels}) on chamber {chmod.chamber_to_str(ch)}"
+
+
+def _cyclic_relation_sweep(n: int) -> tuple[int, str | None]:
     """Evaluate the five cyclic-indicator relations on every chamber for
-    every letter choice; returns the number of (relation, labels) instances."""
+    every letter choice.  Returns the number of (relation, labels) instances
+    and the first failing instance with its chamber, or None."""
     letters = [chmod.ZERO, chmod.NEG_ZERO]
     for i in range(1, n + 1):
         letters += [chmod.letter(i), chmod.letter(-i)]
@@ -718,32 +723,39 @@ def _cyclic_relation_sweep(n: int) -> int:
     def y(i, j, k, ch):
         return chmod.evaluate_y(i, j, k, ch)
 
+    def labels(*xs):
+        return ",".join(chmod.letter_to_str(x) for x in xs)
+
     for i, j, k in itertools.permutations(letters, 3):
         antipode_ok = -i not in (j, k) and i not in (-j, -k)
         for ch in chams:
             a = y(i, j, k, ch)
             if a * (1 - a) != 0:
-                raise AssertionError(f"indicator not 0/1 at {(i, j, k)}")
+                return count, _sweep_failure("0/1 indicator", labels(i, j, k), ch)
             if a != 1 - y(i, k, j, ch):
-                raise AssertionError(f"reversal relation fails at {(i, j, k)}")
+                return count, _sweep_failure("reversal relation", labels(i, j, k), ch)
             if antipode_ok and y(-i, j, k, ch) != y(i, -j, -k, ch):
-                raise AssertionError(f"antipode relation fails at {(i, j, k)}")
+                return count, _sweep_failure("antipode relation", labels(i, j, k), ch)
         count += 3 if antipode_ok else 2
     for i, j, k, l in itertools.permutations(letters, 4):
         for ch in chams:
             a, b = y(i, j, k, ch), y(i, j, l, ch)
             c, d = y(i, k, l, ch), y(j, k, l, ch)
             if a - b + c - d != 0:
-                raise AssertionError(f"four-letter relation fails at {(i, j, k, l)}")
+                return count, _sweep_failure(
+                    "four-letter relation", labels(i, j, k, l), ch
+                )
             if a * c * (1 - b) + (1 - a) * (1 - c) * b != 0:
-                raise AssertionError(f"support relation fails at {(i, j, k, l)}")
+                return count, _sweep_failure("support relation", labels(i, j, k, l), ch)
         count += 2
-    return count
+    return count, None
 
 
-def _function_ring_relation_sweep(n: int) -> int:
+def _function_ring_relation_sweep(n: int) -> tuple[int, str | None]:
     """Evaluate the seven d=1 function-ring relations pointwise via the
-    indicator model, over all signed index labels."""
+    indicator model, over all signed index labels.  Returns the number of
+    (relation, labels) instances and the first failing instance with its
+    chamber, or None."""
     chams = chmod.all_chambers(n)
     idx = [s * i for i in range(1, n + 1) for s in (1, -1)]
     count = 0
@@ -754,13 +766,16 @@ def _function_ring_relation_sweep(n: int) -> int:
     def z1v(a, ch):
         return chmod.evaluate_z((a,), ch)
 
+    def labels(*xs):
+        return ",".join(str(x) for x in xs)
+
     for a in idx:
         for ch in chams:
             va = z1v(a, ch)
             if va * (1 - va) != 0:
-                raise AssertionError("loop indicator not 0/1")
+                return count, _sweep_failure("0/1 loop indicator", labels(a), ch)
             if z1v(-a, ch) != 1 - va:
-                raise AssertionError("loop negation relation fails")
+                return count, _sweep_failure("loop negation relation", labels(a), ch)
         count += 2
     for a, b in itertools.permutations(idx, 2):
         if abs(a) == abs(b):
@@ -768,15 +783,15 @@ def _function_ring_relation_sweep(n: int) -> int:
         for ch in chams:
             vab = z2(a, b, ch)
             if vab * (1 - vab) != 0:
-                raise AssertionError("pair indicator not 0/1")
+                return count, _sweep_failure("0/1 pair indicator", labels(a, b), ch)
             if z1v(a, ch) - z1v(b, ch) + vab - z2(-a, -b, ch) != 0:
-                raise AssertionError(f"pair negation relation fails at {(a, b)}")
+                return count, _sweep_failure("pair negation relation", labels(a, b), ch)
             va, vb = z1v(a, ch), z1v(b, ch)
             if vab * va * (1 - vb) + (1 - vab) * (1 - va) * vb != 0:
-                raise AssertionError(f"pair-loop relation fails at {(a, b)}")
+                return count, _sweep_failure("pair-loop relation", labels(a, b), ch)
             vmb = z2(a, -b, ch)
             if vb * vmb * (1 - vab) + (1 - vb) * (1 - vmb) * vab != 0:
-                raise AssertionError(f"mixed-pair relation fails at {(a, b)}")
+                return count, _sweep_failure("mixed-pair relation", labels(a, b), ch)
         count += 4
     for a, b, c in itertools.permutations(idx, 3):
         if len({abs(a), abs(b), abs(c)}) != 3:
@@ -784,9 +799,11 @@ def _function_ring_relation_sweep(n: int) -> int:
         for ch in chams:
             vab, vbc, vac = z2(a, b, ch), z2(b, c, ch), z2(a, c, ch)
             if vab * vbc * (1 - vac) + (1 - vab) * (1 - vbc) * vac != 0:
-                raise AssertionError(f"transitivity relation fails at {(a, b, c)}")
+                return count, _sweep_failure(
+                    "transitivity relation", labels(a, b, c), ch
+                )
         count += 1
-    return count
+    return count, None
 
 
 def _suite_chambers(n: int, rec: _Recorder):
@@ -818,41 +835,43 @@ def _suite_chambers(n: int, rec: _Recorder):
             (chmod.ZERO, chmod.letter(-1), chmod.letter(2)),
             (chmod.ZERO, chmod.letter(-1), chmod.letter(-2)),
         ]
-        ok = True
+        mismatch = None
         for word, expected in table_rows.items():
-            ch = chmod.chamber_from_str(word)
-            if tuple(chmod.evaluate_y(*c, ch) for c in cols) != expected:
-                ok = False
+            got = tuple(chmod.evaluate_y(*c, chmod.chamber_from_str(word)) for c in cols)
+            if got != expected and mismatch is None:
+                mismatch = f"row {word} evaluates to {got}, published {expected}"
         rec.record(
             "indicator-table",
             "published-indicator-values-on-rank-2-chambers",
-            ok,
-            "the 8 x 6 table of indicator values reproduces exactly",
+            mismatch is None,
+            mismatch or "the 8 x 6 table of indicator values reproduces exactly",
         )
 
     if n <= 3:
-        count = _cyclic_relation_sweep(n)
+        count, failure = _cyclic_relation_sweep(n)
         rec.record(
             "cyclic-relations-pointwise",
             "cyclic-indicator-relations-vanish-pointwise",
-            True,
-            f"{count} relation instances vanish on all {len(chams)} chambers",
+            failure is None,
+            failure or f"{count} relation instances vanish on all {len(chams)} chambers",
         )
-        count = _function_ring_relation_sweep(n)
+        count, failure = _function_ring_relation_sweep(n)
         rec.record(
             "function-ring-relations-pointwise",
             "function-ring-relations-vanish-pointwise",
-            True,
-            f"{count} relation instances vanish on all {len(chams)} chambers",
+            failure is None,
+            failure or f"{count} relation instances vanish on all {len(chams)} chambers",
         )
 
-    _, rank = chmod.evaluation_matrix(n)
-    ok = rank == group_order(n)
+    mat, rank = chmod.evaluation_matrix(n)
+    rows, cols = mat.shape
+    ok = rank == rows == cols == group_order(n)
     rec.record(
         "evaluation-matrix-rank",
         "basis-monomials-evaluate-to-full-rank",
         ok,
-        f"rank {rank} of the {len(chams)} x {rank} evaluation matrix is full",
+        f"rank {rank} of the {rows} x {cols} evaluation matrix is "
+        + ("full" if ok else f"not the group order {group_order(n)}"),
     )
 
     base = chmod.base_chamber(n)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,28 @@ def test_multiply_unit_and_projectors():
     assert plus * plus == plus
     assert minus * minus == minus
     assert (plus * minus).is_zero()
+
+
+def test_product_coefficients_are_reduced_nonzero_fractions():
+    rng = random.Random(31)
+    elems = list(all_signed_perms(3))
+
+    def rand_elt(size):
+        support = rng.sample(elems, size)
+        return AlgebraElement(
+            3, {g: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4, 6))) for g in support}
+        )
+
+    # the projectors cancel to coefficients 1/2 (from 2/4) and to zero
+    plus, minus = epsilon(3, (1, 2), 1), epsilon(3, (1, 2), -1)
+    products = [plus * plus, plus * minus, plus * rand_elt(20)]
+    products += [rand_elt(sa) * rand_elt(sb) for sa, sb in ((1, 2), (5, 40), (48, 48))]
+    assert plus * plus == plus and (plus * minus).is_zero()
+    for x in products:
+        for c in x.coeffs.values():
+            assert type(c) is Fraction and c != 0
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        assert x == AlgebraElement(3, x.coeffs)
 
 
 def test_multiply_rank_mismatch():

@@ -220,3 +220,38 @@ def test_graded_product_is_top_degree_of_filtered_product(rank):
             filtered = r1.monomial(m1) * r1.monomial(m2)
             top = filtered.homogeneous_part(len(m1) + len(m2))
             assert {m: c for m, c in graded.terms.items()} == dict(top.terms)
+
+
+def test_flipped_indicator_fails_the_chamber_suite(monkeypatch):
+    from hyperoct import chambers
+    from hyperoct.suites import run_suite
+
+    flipped = (ZERO, letter(1), letter(2), base_chamber(2))
+    honest = chambers.evaluate_y
+
+    def evaluate_y(i, j, k, ch):
+        return honest(i, j, k, ch) ^ ((i, j, k, ch) == flipped)
+
+    monkeypatch.setattr(chambers, "evaluate_y", evaluate_y)
+    report = run_suite("chambers", 2)
+    status = {c.id: c for c in report.checks}
+    assert not report.passed
+    cyclic = status["cyclic-relations-pointwise"]
+    assert cyclic.status == "fail"
+    assert "fails at (0,1,2) on chamber (0,1,2,-0,-1,-2)" in cyclic.witness
+    assert status["function-ring-relations-pointwise"].status == "fail"
+    table = status["indicator-table"]
+    assert table.status == "fail"
+    assert table.witness.startswith("row (0,1,2,-0,-1,-2) evaluates to (0, 0, 0, 1, 0, 1)")
+
+
+def test_rank_deficient_evaluation_matrix_fails_the_chamber_suite(monkeypatch):
+    from hyperoct import chambers
+    from hyperoct.suites import run_suite
+
+    monkeypatch.setattr(chambers, "evaluate_z", lambda gen, ch: 1)
+    _, rank = evaluation_matrix(2)
+    assert rank == 1
+    check = {c.id: c for c in run_suite("chambers", 2).checks}["evaluation-matrix-rank"]
+    assert check.status == "fail"
+    assert check.witness.startswith("rank 1 of the 8 x 8 evaluation matrix")

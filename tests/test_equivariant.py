@@ -4,10 +4,14 @@ import pytest
 
 from hyperoct.equivariant import (
     U,
+    _apply_substitution,
+    _normalize,
+    _substitution,
     equivariant_relations,
     specialize,
     verify_specializations,
 )
+from hyperoct.permutations import group_generators
 from hyperoct.rings import get_ring
 
 
@@ -79,12 +83,16 @@ def test_specializations_vanish(n):
 
 
 def test_relation_set_is_closed_under_the_group():
-    # closure reached a fixed point: re-running the closure adds nothing
-    n = 2
-    relset = equivariant_relations(n)
-    again = equivariant_relations(n)
-    assert relset.relations == again.relations
-    assert len(relset) >= 3 * 1 + 2  # squares plus at least the seeded families
+    # every generator maps every relation to zero or to a relation of the set
+    for n in (2, 3):
+        relset = equivariant_relations(n)
+        relations = set(relset.relations)
+        ring = get_ring("Z1", n)
+        for s in group_generators(n):
+            images = _substitution(ring, s)
+            for p in relset.polynomials():
+                image = _normalize(_apply_substitution(p, images))
+                assert not image or image in relations, (s, p)
 
 
 def test_specialize_rejects_other_values():

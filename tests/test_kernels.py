@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperoct import kernels
@@ -10,11 +11,14 @@ from hyperoct.permutations import compose, inverse
 
 
 def test_group_table_consistency():
-    group = get_group(2)
-    for i, g in enumerate(group.elements):
-        assert group.elements[group.inv[i]] == inverse(g)
-        for j, h in enumerate(group.elements):
-            assert group.elements[group.table[i, j]] == compose(g, h)
+    for n in (2, 3):
+        group = get_group(n)
+        assert group.table.shape == (group.order, group.order)
+        for i, g in enumerate(group.elements):
+            assert group.index[g] == i
+            assert group.elements[group.inv[i]] == inverse(g)
+            for j, h in enumerate(group.elements):
+                assert group.elements[group.table[i, j]] == compose(g, h)
 
 
 def test_conjugates_column():
@@ -35,6 +39,24 @@ def _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b):
     return out
 
 
+class _DtypeSpy:
+    """numpy, recording the dtype of every dense factor the kernel allocates."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype):
+        self.dtypes.append(dtype)
+        return np.zeros(shape, dtype=dtype)
+
+
+# The kernel gathers along the factor with the smaller support, so cases
+# with size_b <= size_a and with size_a < size_b run its two branches.  It
+# stays on int64 exactly while bound^2 * |B_n| < 2^62: 759250124 is the
+# largest such bound at n = 2, and 2^40 is past it at n = 4.
 @pytest.mark.parametrize(
     "n, size_a, size_b, bound",
     [
@@ -42,20 +64,31 @@ def _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b):
         (3, 7, 9, 50),
         (3, 48, 48, 5),
         (4, 20, 30, 50),
-        (4, 384, 3, 2**40),  # max|a| * max|b| * |B_4| = 384 * 2^80 >= 2^62
+        (4, 30, 20, 50),
+        (4, 384, 3, 2**40),
+        (4, 3, 384, 2**40),
+        (2, 8, 8, 759250124),
+        (2, 8, 8, 759250125),
     ],
 )
-def test_convolve_dense_matches_double_sum(n, size_a, size_b, bound):
+def test_convolve_dense_matches_double_sum(monkeypatch, n, size_a, size_b, bound):
     rng = random.Random(1000 * n + size_a)
     group = get_group(n)
-    for _ in range(3):
+    spy = _DtypeSpy()
+    monkeypatch.setattr(kernels, "np", spy)
+    for trial in range(3):
         idx_a = rng.sample(range(group.order), size_a)
         idx_b = rng.sample(range(group.order), size_b)
-        coef_a = [rng.randint(-bound, bound) for _ in idx_a]
-        coef_b = [rng.randint(-bound, bound) for _ in idx_b]
-        coef_a[0], coef_b[0] = bound, -bound
+        if trial == 0:  # every partial sum at its largest magnitude
+            coef_a, coef_b = [bound] * size_a, [bound] * size_b
+        else:
+            coef_a = [rng.randint(-bound, bound) for _ in idx_a]
+            coef_b = [rng.randint(-bound, bound) for _ in idx_b]
+            coef_a[0], coef_b[0] = bound, -bound
         expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
         assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b) == expected
+    dtype = np.int64 if bound * bound * group.order < 2**62 else object
+    assert spy.dtypes == [dtype] * 3
 
 
 def test_convolution_matches_definition():
