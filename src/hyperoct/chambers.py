@@ -18,7 +18,6 @@ semantic oracle for the rewrite engine in hyperoct.rings.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -102,11 +101,11 @@ def evaluate_z(gen, ch: Chamber) -> int:
     return evaluate_y(ZERO, letter(i), letter(s * j), ch)
 
 
-def evaluate_element(x: RingElement, ch: Chamber) -> Fraction:
+def evaluate_element(x: RingElement, ch: Chamber) -> int:
     """Pointwise value of a d = 1 ring element on a chamber."""
     if x.ring.graded:
         raise ValueError("pointwise evaluation is for the d = 1 spaces")
-    total = Fraction(0)
+    total = 0
     for m, c in x.terms.items():
         v = 1
         for g in m:
@@ -147,25 +146,48 @@ def base_chamber_cycler(n: int) -> SignedPerm:
     return tuple(list(range(2, n + 2)) + [-1])
 
 
+def generator_columns(n: int, gens) -> dict:
+    """Each canonical generator evaluated on every chamber of
+    ``all_chambers(n)`` at once, as a boolean column.
+
+    The same values as ``evaluate_z``, which stays the per-chamber
+    definition: the position of every letter in every chamber's word is
+    computed once, and a generator compares three columns of positions.
+    """
+    words = np.array([full_word(ch) for ch in all_chambers(n)], dtype=np.int64)
+    rows, size = words.shape
+    # pos[r, e + n + 1] is the position of letter e in the word of chamber r
+    pos = np.empty((rows, 2 * n + 3), dtype=np.int64)
+    pos[np.arange(rows)[:, None], words + n + 1] = np.arange(size)
+
+    def at(e: int):
+        return pos[:, e + n + 1]
+
+    out = {}
+    for g in gens:
+        if len(g) == 1:
+            i, j, k = ZERO, NEG_ZERO, letter(g[0])
+        else:
+            i, j, k = ZERO, letter(g[0]), letter(g[2] * g[1])
+        out[g] = (at(j) - at(i)) % size < (at(k) - at(i)) % size
+    return out
+
+
 def evaluation_matrix(n: int, ring: PresentedRing | None = None):
     """0/1 matrix of all nbc monomials evaluated on all chambers, with rank.
 
     Rows are chambers, columns nbc monomials of the lifted d = 1 space in
     marked-point coordinates; rank 2^n n! (full) certifies the monomials
     are a basis of the function ring.  The rank is returned, not checked.
+    A monomial's column is the AND of its generators' columns.
     """
     from .rings import get_ring
 
     ring = ring or get_ring("Y1", n)
     basis = ring.nbc_basis()
-    chambers = all_chambers(n)
-    mat = np.zeros((len(chambers), len(basis)), dtype=np.int64)
-    for r, ch in enumerate(chambers):
-        for c, mono in enumerate(basis):
-            v = 1
-            for g in mono:
-                v &= evaluate_z(g, ch)
-                if not v:
-                    break
-            mat[r, c] = v
+    columns = generator_columns(n, ring.gens)
+    mat = np.ones((len(all_chambers(n)), len(basis)), dtype=np.int64)
+    for c, mono in enumerate(basis):
+        for g in mono:
+            mat[:, c] &= columns[g]
     return mat, full_rank_certificate(mat)

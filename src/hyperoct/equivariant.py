@@ -76,7 +76,7 @@ def _normalize(p: FreePoly) -> tuple:
         return ()
     lead = max(p, key=monomial_order_key)
     c0 = p[lead]
-    return tuple(sorted((m, c / c0) for m, c in p.items()))
+    return tuple(sorted((m, Fraction(c, c0)) for m, c in p.items()))
 
 
 @dataclass(frozen=True)

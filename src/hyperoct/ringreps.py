@@ -8,6 +8,11 @@ a bucket of monomials (a degree, a bidegree, or a type-shape class) is
 the trace of sigma on the corresponding graded piece.  For the
 non-homogeneous d = 1 ring the same diagonal entries compute the traces
 on the associated graded pieces.
+
+Only those coefficients are computed: the image of all but the last
+generator of m is shared by every basis monomial with the same prefix,
+and of its product with the last generator's image only the coefficient
+of m is summed.
 """
 
 from __future__ import annotations
@@ -32,19 +37,29 @@ def acting_rank(space: str, rank: int) -> int:
 @lru_cache(maxsize=None)
 def diagonal_coefficients(
     space: str, rank: int
-) -> dict[SignedPartition, tuple[Fraction, ...]]:
+) -> dict[SignedPartition, tuple[int, ...]]:
     """Per class representative, the action's diagonal on the nbc basis."""
     ring = get_ring(space, rank)
     basis = ring.nbc_basis()
     n_act = acting_rank(space, rank)
-    out: dict[SignedPartition, tuple[Fraction, ...]] = {}
+    out: dict[SignedPartition, tuple[int, ...]] = {}
     for lam in signed_partitions(n_act):
         sigma = standard_representative(lam)
-        diag = []
-        for m in basis:
-            image = ring.act(sigma, ring.monomial(m))
-            diag.append(image.coefficient(m))
-        out[lam] = tuple(diag)
+        images = {g: ring.act_on_generator(sigma, g).terms for g in ring.gens}
+        # image of each monomial prefix, in normal form
+        prefixes: dict[Monomial, dict[Monomial, int]] = {(): {(): 1}}
+
+        def image_of(prefix: Monomial) -> dict[Monomial, int]:
+            img = prefixes.get(prefix)
+            if img is None:
+                img = ring.product(image_of(prefix[:-1]), images[prefix[-1]])
+                prefixes[prefix] = img
+            return img
+
+        out[lam] = tuple(
+            ring.product_coefficient(image_of(m[:-1]), images[m[-1]], m) if m else 1
+            for m in basis
+        )
     return out
 
 

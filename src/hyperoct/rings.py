@@ -23,8 +23,17 @@ monomial in the degree-then-lex order with letters ordered
 
     0 < -0 < 1 < -1 < 2 < -2 < ...
 
-A completion pass turns the instances into a confluent rule table; each
-instance is afterwards re-reduced to zero, which certifies the table.
+A completion pass reduces the instances in turn and orients each one that
+survives into a rule, then interreduces the right-hand sides.  The build
+itself checks only that every same-hand pair has a rule.  What certifies
+a table is ``verify_relations``, which reduces every instance to zero: the
+tests run it on fresh tables, and a table loaded from the cache must pass
+it before it is used, or it is rebuilt and stored again.
+
+Coefficients are Python ints throughout: orienting a rule divides by its
+lead coefficient exactly (every rule coefficient lies in -2..2 at rank
+<= 4), and ``RingElement`` rejects a coefficient that is not a whole
+number.
 """
 
 from __future__ import annotations
@@ -91,14 +100,25 @@ def gen_pretty(g: Gen) -> str:
     return f"z{i}{j}" if s > 0 else f"z{i}~{j}"
 
 
+def _integral(c) -> int:
+    """``c`` as an int; ValueError unless it is a whole number."""
+    whole = int(c)
+    if whole != c:
+        raise ValueError(f"ring coefficients are integers, not {c!r}")
+    return whole
+
+
 class RingElement:
     """Linear combination of normal-form monomials in a presented ring."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: "PresentedRing", terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, ring: "PresentedRing", terms: dict[Monomial, int] | None = None):
         self.ring = ring
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+        terms = {m: c for m, c in (terms or {}).items() if c}
+        if any(type(c) is not int for c in terms.values()):
+            terms = {m: _integral(c) for m, c in terms.items()}
+        self.terms = terms
 
     def _check(self, other: "RingElement"):
         if self.ring is not other.ring:
@@ -108,26 +128,21 @@ class RingElement:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return RingElement(self.ring, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _integral(scalar)
         return RingElement(self.ring, {m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in self.ring.normal_form_product(m1, m2).items():
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
-        return RingElement(self.ring, out)
+        return RingElement(self.ring, self.ring.product(self.terms, other.terms))
 
     def __eq__(self, other):
         return (
@@ -147,8 +162,8 @@ class RingElement:
             self.ring, {m: c for m, c in self.terms.items() if len(m) == degree}
         )
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> int:
+        return self.terms.get(m, 0)
 
     def __repr__(self):
         if not self.terms:
@@ -195,8 +210,8 @@ class PresentedRing:
             for i in range(1, j)
             for s in (1, -1)
         ]
-        self._nf_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
-        self.rules: dict[tuple[Gen, Gen], dict[Monomial, Fraction]] = {}
+        self._nf_cache: dict[Monomial, dict[Monomial, int]] = {}
+        self.rules: dict[tuple[Gen, Gen], dict[Monomial, int]] = {}
         self._build_rules()
 
     # -- building blocks ----------------------------------------------------
@@ -205,16 +220,13 @@ class PresentedRing:
         return RingElement(self)
 
     def one(self) -> RingElement:
-        return RingElement(self, {(): Fraction(1)})
+        return RingElement(self, {(): 1})
 
     def generator(self, g: Gen) -> RingElement:
-        return RingElement(self, {(g,): Fraction(1)})
+        return RingElement(self, {(g,): 1})
 
     def monomial(self, m: Monomial) -> RingElement:
-        return RingElement(self, {monomial_sort(m): Fraction(1)})
-
-    def constant(self, c) -> RingElement:
-        return RingElement(self, {(): Fraction(c)})
+        return RingElement(self, {monomial_sort(m): 1})
 
     def canonical_loop(self, a: int) -> RingElement:
         """The loop labeled by a signed index, as a canonical combination."""
@@ -261,20 +273,20 @@ class PresentedRing:
             return None
         return monomial_sort(distinct)
 
-    def _free_product(self, polys) -> dict[Monomial, Fraction]:
-        out = {(): Fraction(1)}
+    def _free_product(self, polys) -> dict[Monomial, int]:
+        out = {(): 1}
         for poly in polys:
-            nxt: dict[Monomial, Fraction] = {}
+            nxt: dict[Monomial, int] = {}
             for m1, c1 in out.items():
                 for m2, c2 in poly.items():
                     m = self._square_free(m1 + m2)
                     if m is None:
                         continue
-                    nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
+                    nxt[m] = nxt.get(m, 0) + c1 * c2
             out = {m: c for m, c in nxt.items() if c}
         return out
 
-    def _linear(self, element: RingElement) -> dict[Monomial, Fraction]:
+    def _linear(self, element: RingElement) -> dict[Monomial, int]:
         return dict(element.terms)
 
     def _relation_instances(self):
@@ -285,7 +297,7 @@ class PresentedRing:
 
         def one_minus(p):
             out = {m: -c for m, c in p.items()}
-            out[()] = out.get((), Fraction(0)) + 1
+            out[()] = out.get((), 0) + 1
             return {m: c for m, c in out.items() if c}
 
         rels = []
@@ -373,9 +385,17 @@ class PresentedRing:
                 raise AssertionError(
                     f"irreducible relation with normal-form lead {lead} in {self.space}"
                 )
-            rhs = {
-                m: -c / lead_c for m, c in reduced.items() if m != lead
-            }
+            rhs = {}
+            for m, c in reduced.items():
+                if m == lead:
+                    continue
+                quotient, rest = divmod(-c, lead_c)
+                if rest:
+                    raise AssertionError(
+                        f"lead coefficient {lead_c} does not divide relation "
+                        f"{reduced} in {self.space}"
+                    )
+                rhs[m] = quotient
             self.rules[(lead[0], lead[1])] = rhs
             self.rules[(lead[1], lead[0])] = rhs
             self._nf_cache.clear()
@@ -395,10 +415,10 @@ class PresentedRing:
     def _interreduce(self):
         for key_pair in list(self.rules):
             rhs = self.rules[key_pair]
-            flat: dict[Monomial, Fraction] = {}
+            flat: dict[Monomial, int] = {}
             for m, c in rhs.items():
                 for m2, c2 in self._normal_form(m).items():
-                    flat[m2] = flat.get(m2, Fraction(0)) + c * c2
+                    flat[m2] = flat.get(m2, 0) + c * c2
             self.rules[key_pair] = {m: c for m, c in flat.items() if c}
         self._nf_cache.clear()
 
@@ -426,13 +446,16 @@ class PresentedRing:
                 rhs = {}
                 for item in rhs_list:
                     m = monomial_sort(token_to_gen(t) for t in item["monomial"])
-                    rhs[m] = Fraction(item["coeff"])
+                    rhs[m] = _integral(Fraction(item["coeff"]))
                 rules[(g1, g2)] = rhs
             self.rules = rules
             self._assert_complete()
+            self.verify_relations()
             return True
-        except (KeyError, ValueError, TypeError, AssertionError):
+        except (KeyError, ValueError, TypeError, ZeroDivisionError, AssertionError, RuntimeError):
+            # RuntimeError covers a table whose rewriting never terminates
             self.rules = {}
+            self._nf_cache.clear()
             return False
 
     # -- normal forms ----------------------------------------------------------
@@ -445,7 +468,7 @@ class PresentedRing:
                     return i, j
         return None
 
-    def _normal_form(self, m: Monomial, _budget: list | None = None) -> dict[Monomial, Fraction]:
+    def _normal_form(self, m: Monomial, _budget: list | None = None) -> dict[Monomial, int]:
         cached = self._nf_cache.get(m)
         if cached is not None:
             return cached
@@ -456,7 +479,7 @@ class PresentedRing:
             raise RuntimeError("rewrite step bound exceeded")
         pos = self._find_collision(m)
         if pos is None:
-            out = {m: Fraction(1)}
+            out = {m: 1}
         else:
             i, j = pos
             g1, g2 = m[i], m[j]
@@ -467,33 +490,56 @@ class PresentedRing:
                 if merged is None:
                     continue
                 for m2, c2 in self._normal_form(merged, _budget).items():
-                    out[m2] = out.get(m2, Fraction(0)) + c * c2
+                    out[m2] = out.get(m2, 0) + c * c2
             out = {mm: cc for mm, cc in out.items() if cc}
         self._nf_cache[m] = out
         return out
 
-    def _reduce_poly(self, poly: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
+    def _reduce_poly(self, poly: dict[Monomial, int]) -> dict[Monomial, int]:
+        out: dict[Monomial, int] = {}
         for m, c in poly.items():
             for m2, c2 in self._normal_form(m).items():
-                out[m2] = out.get(m2, Fraction(0)) + c * c2
+                out[m2] = out.get(m2, 0) + c * c2
         return {m: c for m, c in out.items() if c}
 
-    def normal_form_product(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
+    def normal_form_product(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
         merged = self._square_free(m1 + m2)
         if merged is None:
             return {}
         return self._normal_form(merged)
 
-    def reduce_raw(self, poly: dict[Monomial, Fraction]) -> RingElement:
+    def product(
+        self, p: dict[Monomial, int], q: dict[Monomial, int]
+    ) -> dict[Monomial, int]:
+        """Normal form of the product of two normal-form polynomials."""
+        out: dict[Monomial, int] = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                for m, c in self.normal_form_product(m1, m2).items():
+                    out[m] = out.get(m, 0) + c1 * c2 * c
+        return {m: c for m, c in out.items() if c}
+
+    def product_coefficient(
+        self, p: dict[Monomial, int], q: dict[Monomial, int], target: Monomial
+    ) -> int:
+        """Coefficient of ``target`` in ``product(p, q)``, without forming it."""
+        total = 0
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                c = self.normal_form_product(m1, m2).get(target)
+                if c:
+                    total += c1 * c2 * c
+        return total
+
+    def reduce_raw(self, poly: dict[Monomial, int]) -> RingElement:
         """Reduce a free polynomial (square collapse plus straightening)."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m, c in poly.items():
             sq = self._square_free(m)
             if sq is None:
                 continue
             for m2, c2 in self._normal_form(sq).items():
-                out[m2] = out.get(m2, Fraction(0)) + c * c2
+                out[m2] = out.get(m2, 0) + c * c2
         return RingElement(self, out)
 
     def verify_relations(self) -> int:
@@ -590,23 +636,23 @@ class PresentedRing:
     def act(self, sigma: SignedPerm, x: RingElement) -> RingElement:
         if x.ring is not self:
             raise ValueError("element does not belong to this ring")
-        images: dict[Gen, RingElement] = {}
-        out = self.zero()
+        images: dict[Gen, dict[Monomial, int]] = {}
+        out: dict[Monomial, int] = {}
         for m, c in x.terms.items():
-            term = self.constant(c)
+            term = {(): c}
             for g in m:
                 img = images.get(g)
                 if img is None:
-                    img = images[g] = self.act_on_generator(sigma, g)
-                term = term * img
-            out = out + term
-        return out
+                    img = images[g] = self.act_on_generator(sigma, g).terms
+                term = self.product(term, img)
+            out = poly_add(out, term)
+        return RingElement(self, out)
 
 
 def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
-        out[m] = out.get(m, Fraction(0)) + c
+        out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
 

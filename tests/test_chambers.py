@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperoct.chambers import (
@@ -151,6 +152,17 @@ def test_evaluation_matrix_rank_against_exact_elimination():
     assert exact == rank == 8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluation_matrix_matches_evaluate_z(n):
+    mat, _ = evaluation_matrix(n)
+    basis = get_ring("Y1", n).nbc_basis()
+    chams = all_chambers(n)
+    assert mat.shape == (len(chams), len(basis))
+    for r, ch in enumerate(chams):
+        for c, mono in enumerate(basis):
+            assert mat[r, c] == int(all(evaluate_z(g, ch) for g in mono)), (ch, mono)
+
+
 @pytest.mark.parametrize("space,rank", [("Z1", 2), ("Y1", 2)])
 def test_ring_action_matches_chamber_semantics(space, rank):
     ring = get_ring(space, rank)
@@ -249,7 +261,10 @@ def test_rank_deficient_evaluation_matrix_fails_the_chamber_suite(monkeypatch):
     from hyperoct import chambers
     from hyperoct.suites import run_suite
 
-    monkeypatch.setattr(chambers, "evaluate_z", lambda gen, ch: 1)
+    def every_generator_is_one(n, gens):
+        return {g: np.ones(len(all_chambers(n)), dtype=bool) for g in gens}
+
+    monkeypatch.setattr(chambers, "generator_columns", every_generator_is_one)
     _, rank = evaluation_matrix(2)
     assert rank == 1
     check = {c.id: c for c in run_suite("chambers", 2).checks}["evaluation-matrix-rank"]

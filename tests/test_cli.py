@@ -116,17 +116,53 @@ def test_cache_disabled_without_env(monkeypatch):
     assert cache.load("key") is None
 
 
+def _counting_stores(monkeypatch) -> list:
+    stored = []
+    real_store = cache.store
+
+    def store(key, obj):
+        stored.append(key)
+        return real_store(key, obj)
+
+    monkeypatch.setattr(cache, "store", store)
+    return stored
+
+
 def test_rewrite_table_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
     from hyperoct.rings import PresentedRing
 
     fresh = PresentedRing("Z3", 2)
     assert (tmp_path / "rewrite-v1-Z3-n2.json").exists()
+    stored = _counting_stores(monkeypatch)
     cached = PresentedRing("Z3", 2)
+    assert stored == []  # a certified load stores nothing
     assert cached.rules == fresh.rules
     z2, z12 = cached.generator((2,)), cached.generator((1, 2, 1))
     z1 = cached.generator((1,))
     assert z2 * z12 == z1 * z12 - z1 * z2
+
+
+def test_poisoned_rewrite_table_is_recertified(tmp_path, monkeypatch):
+    # a well-formed table with one wrong coefficient passes every format
+    # and completeness check; only reducing the relations again catches it
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    from hyperoct.rings import PresentedRing
+
+    PresentedRing("Z3", 3)
+    entry = tmp_path / "rewrite-v1-Z3-n3.json"
+    good = entry.read_text()
+    table = json.loads(good)
+    term = table["rules"]["z2*z12+"][0]  # the pair order straightening looks up
+    num, den = term["coeff"].split("/")
+    term["coeff"] = f"{-int(num)}/{den}"
+    entry.write_text(json.dumps(table))
+    stored = _counting_stores(monkeypatch)
+    loaded = PresentedRing("Z3", 3)
+    assert stored == ["rewrite-v1-Z3-n3"]
+    monkeypatch.delenv(cache.ENV_VAR)
+    assert loaded.rules == PresentedRing("Z3", 3).rules
+    assert json.loads(entry.read_text()) == json.loads(good)
 
 
 def test_all_suite_clamps_to_bounds():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hyperoct.characters import decompose
@@ -8,14 +10,18 @@ from hyperoct.permutations import (
     group_order,
     identity,
     signed_partitions,
+    standard_representative,
 )
 from hyperoct.ringreps import (
+    acting_rank,
     bigraded_character,
     bigraded_dimensions,
+    diagonal_coefficients,
     graded_character,
     type_dimension,
 )
 from hyperoct.rings import (
+    SPACES,
     RingElement,
     get_ring,
     hilbert_coefficients,
@@ -92,6 +98,38 @@ def test_hilbert_series_values():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_defining_relations_reduce_to_zero(space, n):
     assert get_ring(space, n).verify_relations() > 0 or n == 1
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_rule_tables_are_integral(space, rank):
+    rules = get_ring(space, rank).rules
+    assert all(type(c) is int for rhs in rules.values() for c in rhs.values())
+
+
+def test_ring_elements_reject_non_integral_coefficients():
+    ring = get_ring("Z3", 2)
+    assert RingElement(ring, {(): Fraction(4, 2)}).terms == {(): 2}
+    with pytest.raises(ValueError):
+        RingElement(ring, {(): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        Fraction(1, 2) * ring.one()
+
+
+@pytest.mark.parametrize(
+    "space,rank",
+    [(s, r) for s in SPACES for r in (1, 2, 3)] + [("Z3", 4), ("Z1", 4)],
+)
+def test_diagonal_coefficients_match_full_action(space, rank):
+    ring = get_ring(space, rank)
+    basis = ring.nbc_basis()
+    diag = diagonal_coefficients(space, rank)
+    assert set(diag) == set(signed_partitions(acting_rank(space, rank)))
+    for lam, row in diag.items():
+        sigma = standard_representative(lam)
+        assert len(row) == len(basis)
+        for m, got in zip(basis, row):
+            assert got == ring.act(sigma, ring.monomial(m)).coefficient(m), (lam, m)
 
 
 def test_action_published_cells():
