@@ -20,9 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
+import numpy as np
+
 from . import kernels
 from .characters import ClassFunction
-from .groupdata import get_group
+from .groupdata import class_sweep, get_group
 from .linalg import rank_exact
 from .permutations import (
     SignedComposition,
@@ -40,7 +42,6 @@ from .permutations import (
     perm_to_str,
     signed_compositions,
     signed_partitions,
-    standard_representative,
 )
 
 
@@ -318,24 +319,22 @@ def right_ideal_character(e: AlgebraElement) -> ClassFunction:
     """Character of the right ideal e * Q[B_n].
 
     chi(g) = sum over x of the coefficient of x g^{-1} x^{-1} in e, the
-    trace of right translation on the ideal.  Requires e idempotent.
+    trace of right translation on the ideal.  Requires e idempotent.  The
+    sum runs on e's shared-denominator numerators, in int64 while
+    max|num| * |B_n| bounds it below ``kernels.INT64_BOUND`` and on Python
+    integers past that.
     """
     if not e.is_idempotent():
         raise ValueError("element is not idempotent")
     n = e.n
     group = get_group(n)
-    dense = [Fraction(0)] * group.order
-    for g, c in e.coeffs.items():
-        dense[group.index[g]] = c
-    vals = []
-    for lam in signed_partitions(n):
-        gi = group.index[standard_representative(lam)]
-        conj = group.conjugates(int(group.inv[gi]))
-        total = Fraction(0)
-        for x in range(group.order):
-            total += dense[int(conj[x])]
-        vals.append(total)
-    return ClassFunction(n, tuple(vals))
+    idx, num, den = e._scaled(group)
+    bound = max(map(abs, num), default=0) * group.order
+    dense = np.zeros(group.order, dtype=np.int64 if bound < kernels.INT64_BOUND else object)
+    dense[idx] = num
+    # inv[x g_c x^-1] is the index of x g_c^-1 x^-1
+    sums = dense[group.inv[class_sweep(n)]].sum(axis=1)
+    return ClassFunction(n, tuple(Fraction(int(s), den) for s in sums))
 
 
 def right_ideal_dimension_by_rank(e: AlgebraElement) -> int:

@@ -8,8 +8,9 @@ two sides with an induction product computed by class fusion.
 
 Symmetric-group values come from the Murnaghan-Nakayama recursion on
 beta-sets.  Induction from explicitly enumerated subgroups is done by a
-full conjugation sweep over the ambient group, which is cheap at desk
-scale and sidesteps fusion bookkeeping for irregular subgroups.
+full conjugation sweep over the ambient group (``groupdata.class_sweep``),
+which is cheap at desk scale and sidesteps fusion bookkeeping for
+irregular subgroups.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import numpy as np
+
 from . import cache
 from .cyclotomic import Cyclotomic
-from .groupdata import get_group
+from .groupdata import class_sweep, get_group
 from .permutations import (
     SignedPartition,
     SignedPerm,
@@ -314,39 +317,43 @@ def rho_character(
     character: block cycles map to primitive roots (order of the cycle),
     block sign-flips and block swaps to 1.
 
-    The value table is built by multiplicative closure; conflicting word
-    values would raise, certifying well-definedness on every run.
+    The value table is built by multiplicative closure on exponents of a
+    primitive ``ambient``-th root w, which agree exactly when the powers of
+    w do; conflicting word values would raise, certifying well-definedness
+    on every run.
     """
     n = sum(lam[0]) + sum(lam[1])
     ambient = lcm(1, *[s for s in lam[0]], *[2 * s for s in lam[1]])
-    gens: list[tuple[SignedPerm, Cyclotomic]] = []
+    gens: list[tuple[SignedPerm, int]] = []
     for kind, size, g in centralizer_generators_labeled(lam):
         if kind == "cycle+":
-            val = Cyclotomic.root_of_unity(ambient, size)
+            exp = ambient // size
         elif kind == "cycle-":
-            val = Cyclotomic.root_of_unity(ambient, 2 * size)
+            exp = ambient // (2 * size)
         else:
-            val = Cyclotomic.rational(ambient, 1)
-        gens.append((g, val))
+            exp = 0
+        gens.append((g, exp))
     ident = tuple(range(1, n + 1))
-    values: dict[SignedPerm, Cyclotomic] = {ident: Cyclotomic.rational(ambient, 1)}
+    exponents: dict[SignedPerm, int] = {ident: 0}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            vg = values[g]
-            for h, vh in gens:
+            eg = exponents[g]
+            for h, eh in gens:
                 gh = compose(g, h)
-                vgh = vg * vh
-                known = values.get(gh)
+                egh = (eg + eh) % ambient
+                known = exponents.get(gh)
                 if known is None:
-                    values[gh] = vgh
+                    exponents[gh] = egh
                     nxt.append(gh)
-                elif known != vgh:
+                elif known != egh:
                     raise ArithmeticError(
                         f"inconsistent character value on {gh}; not a homomorphism"
                     )
         frontier = nxt
+    roots = [Cyclotomic.root_of_unity(ambient, ambient, k) for k in range(ambient)]
+    values = {g: roots[k] for g, k in exponents.items()}
     return sorted(values), values
 
 
@@ -354,26 +361,30 @@ def induce_character(subgroup_values, n: int) -> ClassFunction:
     """Induce a 1-dimensional character given by {element: value} up to B_n.
 
     chi_up(g) = (1/|H|) sum over x in B_n with x g x^{-1} in H of
-    chi(x g x^{-1}).  Values may be cyclotomic; the result must reduce to
-    rationals, which is asserted.
+    chi(x g x^{-1}).  The sweep counts, per class, how often each distinct
+    value of chi is hit, so the sum has one term per distinct value.
+    Values may be cyclotomic; the result must reduce to rationals, which is
+    asserted.
     """
     group = get_group(n)
-    h_by_index: dict[int, object] = {}
+    codes_of: dict[object, int] = {}
+    h_idx, h_codes = [], []
     for g, v in dict(subgroup_values).items():
-        h_by_index[group.index[g]] = v
-    order_h = len(h_by_index)
+        h_idx.append(group.index[g])
+        h_codes.append(codes_of.setdefault(v, len(codes_of)))
+    order_h = len(h_idx)
+    distinct = list(codes_of)
+    outside = len(distinct)  # the code of every element outside H
+    codes = np.full(group.order, outside, dtype=np.intp)
+    codes[h_idx] = h_codes
     vals = []
-    for lam in signed_partitions(n):
-        gi = group.index[standard_representative(lam)]
-        conj = group.conjugates(gi)
-        total = None
-        for x in range(group.order):
-            v = h_by_index.get(int(conj[x]))
-            if v is not None:
-                total = v if total is None else total + v
-        if total is None:
+    for row in class_sweep(n):
+        counts = np.bincount(codes[row], minlength=outside + 1)
+        terms = [int(k) * v for k, v in zip(counts, distinct) if k]
+        if not terms:
             vals.append(Fraction(0))
             continue
+        total = sum(terms[1:], terms[0])
         if isinstance(total, Cyclotomic):
             value = total.rational_value()  # raises if irrational: induction bug
         else:
@@ -413,12 +424,12 @@ def coset_permutation_character(n: int, subgroup) -> ClassFunction:
         for h in h_idx:
             coset_of[int(group.table[x, h])] = n_cosets
         n_cosets += 1
+    reps = {}
+    for x in range(group.order):
+        reps.setdefault(coset_of[x], x)
     vals = []
     for lam in signed_partitions(n):
         gi = group.index[standard_representative(lam)]
-        reps = {}
-        for x in range(group.order):
-            reps.setdefault(coset_of[x], x)
         fixed = sum(
             1
             for c, x in reps.items()

@@ -66,7 +66,8 @@ class Cyclotomic:
 
     def __init__(self, order: int, coeffs):
         dim = len(cyclotomic_polynomial(order)) - 1
-        cs = [Fraction(c) for c in coeffs]
+        # Fractions are immutable, so an exact Fraction is kept as it is
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > dim:
             raise ValueError("coefficient vector too long")
         cs += [Fraction(0)] * (dim - len(cs))

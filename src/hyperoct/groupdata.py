@@ -1,10 +1,12 @@
 """Indexed enumeration of B_n with a precomputed Cayley table.
 
-The table is the workhorse behind group-algebra convolution, conjugation
-sweeps, and induced characters.  Elements are indexed in a fixed
-deterministic order; ``table[i, j]`` is the index of ``elements[i] o
-elements[j]`` (apply j first).  Sizes stay modest at desk scale
-(|B_4| = 384, table 384 x 384), and instances are cached per n.
+The table is the workhorse behind group-algebra convolution.  Elements are
+indexed in a fixed deterministic order; ``table[i, j]`` is the index of
+``elements[i] o elements[j]`` (apply j first).  Sizes stay modest at desk
+scale (|B_4| = 384, table 384 x 384), and instances are cached per n.
+
+Characters are summed over the conjugation sweep of the class
+representatives (``class_sweep``), built from the table on first use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .permutations import SignedPerm, all_signed_perms, identity
+from .permutations import (
+    SignedPerm,
+    all_signed_perms,
+    identity,
+    signed_partitions,
+    standard_representative,
+)
 
 
 @dataclass
@@ -65,3 +73,22 @@ def get_group(n: int) -> GroupData:
     inverses[np.arange(order)[:, None], positions] = signs * np.arange(1, n + 1, dtype=np.int8)
     inv = lookup[keys(inverses)]
     return GroupData(n, elements, index, table, inv)
+
+
+@lru_cache(maxsize=None)
+def class_sweep(n: int) -> np.ndarray:
+    """Read-only int32 array with ``conj[c, x]`` the index of x g_c x^{-1},
+    where g_c is the standard representative of the c-th class of
+    ``signed_partitions(n)`` (20 x 384 at n = 4, 36 x 3840 at n = 5).
+
+    The ideal and induced characters sum one row per class.
+    """
+    group = get_group(n)
+    conj = np.stack(
+        [
+            group.conjugates(group.index[standard_representative(lam)])
+            for lam in signed_partitions(n)
+        ]
+    )
+    conj.setflags(write=False)
+    return conj

@@ -77,7 +77,7 @@ def _bucket_character(space: str, rank: int, positions) -> ClassFunction:
     vals = []
     for lam in signed_partitions(n_act):
         row = diag[lam]
-        vals.append(sum((row[p] for p in positions), Fraction(0)))
+        vals.append(Fraction(sum(row[p] for p in positions)))
     return ClassFunction(n_act, tuple(vals))
 
 

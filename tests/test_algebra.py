@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperoct import kernels
 from hyperoct.algebra import (
     AlgebraElement,
     epsilon,
@@ -19,13 +20,17 @@ from hyperoct.algebra import (
     y_basis,
 )
 from hyperoct.characters import character_table
+from hyperoct.groupdata import get_group
 from hyperoct.permutations import (
     all_signed_perms,
+    compose,
     group_order,
     identity,
+    inverse,
     sign_change,
     signed_compositions,
     signed_partitions,
+    standard_representative,
 )
 
 
@@ -247,6 +252,52 @@ def test_right_ideal_character_rejects_non_idempotent():
     bad = AlgebraElement(2, {identity(2): Fraction(2)})
     with pytest.raises(ValueError):
         right_ideal_character(bad)
+
+
+def _ideal_character_by_definition(e):
+    """chi(g) = sum over x of the coefficient of x g^-1 x^-1 in e."""
+    n = e.n
+    values = []
+    for lam in signed_partitions(n):
+        g_inv = inverse(standard_representative(lam))
+        values.append(
+            sum(
+                (e.coeffs.get(compose(compose(x, g_inv), inverse(x)), Fraction(0))
+                 for x in all_signed_perms(n)),
+                Fraction(0),
+            )
+        )
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_right_ideal_character_matches_definition(n):
+    idempotents = [vazirani_idempotent(lam) for lam in signed_partitions(n)]
+    idempotents += [g_k(n, k) for k in range(n + 1)]
+    for e in idempotents:
+        assert right_ideal_character(e).values == _ideal_character_by_definition(e)
+    if n != 3:
+        return
+    # u = 1 + a*g with g an involution has inverse (1 - a*g) / (1 - a^2); the
+    # conjugate u e u^-1 spans an isomorphic right ideal, and its numerators
+    # push the character sum past the int64 bound onto Python integers
+    a = 2**40
+    g = (-1, 2, 3)
+    u = AlgebraElement.unit(n) + a * AlgebraElement.basis(g)
+    u_inv = Fraction(1, 1 - a * a) * (AlgebraElement.unit(n) - a * AlgebraElement.basis(g))
+    assert u * u_inv == AlgebraElement.unit(n)
+    group = get_group(n)
+    moved = 0
+    for e in idempotents:
+        conj = u * e * u_inv
+        if conj != e:  # e commutes with g otherwise
+            _, num, _ = conj._scaled(group)
+            assert max(map(abs, num)) * group.order >= kernels.INT64_BOUND
+            moved += 1
+        chi = right_ideal_character(conj)
+        assert chi == right_ideal_character(e)
+        assert chi.values == _ideal_character_by_definition(conj)
+    assert moved
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

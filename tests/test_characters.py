@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
+from hyperoct import characters
 from hyperoct.characters import (
     ClassFunction,
     bn_irreducible,
@@ -23,10 +24,16 @@ from hyperoct.characters import (
 )
 from hyperoct.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from hyperoct.permutations import (
+    all_signed_perms,
     centralizer_order,
+    compose,
     group_order,
+    identity,
+    inverse,
+    longest_element,
     partitions,
     signed_partitions,
+    standard_representative,
 )
 
 # ---------------------------------------------------------------------------
@@ -204,6 +211,60 @@ def test_rho_on_coxeter_centralizer_is_faithful_root():
         return k
 
     assert max(value_order(values[g]) for g in elems) == 2 * n
+
+
+def test_rho_character_detects_inconsistent_values(monkeypatch):
+    # ((1, 1), (1,)) has ambient order 2; its first generator is the identity
+    # (a one-cell block cycle), so labelling it "cycle-" maps 1 to -1
+    original = characters.centralizer_generators_labeled
+
+    def mislabeled(lam):
+        gens = original(lam)
+        _, size, g = gens[0]
+        return [("cycle-", size, g)] + gens[1:]
+
+    monkeypatch.setattr(characters, "centralizer_generators_labeled", mislabeled)
+    with pytest.raises(ArithmeticError):
+        rho_character(((1, 1), (1,)))
+
+
+def _induced_by_definition(subgroup_values, n):
+    """(1/|H|) sum over x of chi(x g x^-1), chi taken as 0 off H."""
+    values = []
+    for lam in signed_partitions(n):
+        g = standard_representative(lam)
+        total = Fraction(0)
+        for x in all_signed_perms(n):
+            v = subgroup_values.get(compose(compose(x, g), inverse(x)))
+            if v is not None:
+                total = v + total
+        if isinstance(total, Cyclotomic):
+            total = total.rational_value()
+        values.append(total / len(subgroup_values))
+    return tuple(values)
+
+
+def _unsigned_cycle_with_central_sign(n):
+    """The subgroup generated by the unsigned n-cycle and -1, with the
+    n-cycle sent to a primitive n-th root of unity and -1 to -1."""
+    eta = tuple(list(range(2, n + 1)) + [1])
+    w0 = longest_element(n)
+    ambient = lcm(n, 2)
+    values, g = {}, identity(n)
+    for a in range(n):
+        values[g] = Cyclotomic.root_of_unity(ambient, n, a)
+        values[compose(g, w0)] = Cyclotomic.root_of_unity(ambient, n, a) * Fraction(-1)
+        g = compose(g, eta)
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_induce_character_matches_definition(n):
+    subgroups = [rho_character(lam)[1] for lam in signed_partitions(n)]
+    if n == 3:
+        subgroups.append(_unsigned_cycle_with_central_sign(n))
+    for values in subgroups:
+        assert induce_character(values, n).values == _induced_by_definition(values, n)
 
 
 def test_induce_from_trivial_subgroup_is_regular():

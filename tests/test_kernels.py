@@ -6,8 +6,13 @@ import pytest
 
 from hyperoct import kernels
 from hyperoct.algebra import AlgebraElement
-from hyperoct.groupdata import get_group
-from hyperoct.permutations import compose, inverse
+from hyperoct.groupdata import class_sweep, get_group
+from hyperoct.permutations import (
+    compose,
+    inverse,
+    signed_partitions,
+    standard_representative,
+)
 
 
 def test_group_table_consistency():
@@ -29,6 +34,18 @@ def test_conjugates_column():
             x = group.elements[xi]
             expected = compose(compose(x, group.elements[gi]), inverse(x))
             assert group.elements[conj[xi]] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_sweep_matches_conjugation(n):
+    group = get_group(n)
+    sweep = class_sweep(n)
+    classes = signed_partitions(n)
+    assert sweep.shape == (len(classes), group.order)
+    for c, lam in enumerate(classes):
+        g = standard_representative(lam)
+        for xi, x in enumerate(group.elements):
+            assert group.elements[sweep[c, xi]] == compose(compose(x, g), inverse(x))
 
 
 def _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b):

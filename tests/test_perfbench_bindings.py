@@ -1,8 +1,8 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps package functions
 and methods by name and raises when one of them is gone, or, for an
 ``lru_cache`` function, when it is called; this runs ``verify all`` under
-it, so that a refactor dropping a traced name fails here, not in a
-benchmark run."""
+it, so that a refactor dropping a traced name, or bypassing one the
+character metrics read, fails here, not in a benchmark run."""
 
 import os
 import pickle
@@ -30,6 +30,14 @@ def test_benchmark_tracer_installs_and_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     with open(spans, "rb") as fh:
-        counters = pickle.load(fh)["counters"]
+        traced = pickle.load(fh)
+    counters = traced["counters"]
     assert counters["rings.get_ring.builds"] > 0
     assert counters["ringreps.diagonal_coefficients.builds"] > 0
+    # the benchmark's character metrics read these spans; a run that no
+    # longer calls them through the traced names would report them as 0
+    assert {
+        "algebra.right_ideal_character",
+        "characters.induce_character",
+        "characters.rho_character",
+    } <= set(traced["names"])
