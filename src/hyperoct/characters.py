@@ -10,7 +10,9 @@ Symmetric-group values come from the Murnaghan-Nakayama recursion on
 beta-sets.  Induction from explicitly enumerated subgroups is done by a
 full conjugation sweep over the ambient group (``groupdata.class_sweep``),
 which is cheap at desk scale and sidesteps fusion bookkeeping for
-irregular subgroups.
+irregular subgroups.  A subgroup character's root-of-unity values are
+kept as integer exponents; only the induced values, which are rational,
+become Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from . import cache
-from .cyclotomic import Cyclotomic
+from .cyclotomic import power_rows
 from .groupdata import class_sweep, get_group
 from .permutations import (
     SignedPartition,
@@ -93,12 +95,6 @@ class ClassFunction:
     n: int
     values: tuple[Fraction, ...]  # indexed like signed_partitions(n)
 
-    @staticmethod
-    def from_dict(n: int, mapping) -> "ClassFunction":
-        return ClassFunction(
-            n, tuple(Fraction(mapping[lam]) for lam in signed_partitions(n))
-        )
-
     def __getitem__(self, lam: SignedPartition) -> Fraction:
         return self.values[_class_position(self.n, lam)]
 
@@ -137,10 +133,6 @@ def _class_positions(n: int) -> dict[SignedPartition, int]:
 
 def _class_position(n: int, lam: SignedPartition) -> int:
     return _class_positions(n)[lam]
-
-
-def zero_class_function(n: int) -> ClassFunction:
-    return ClassFunction(n, (Fraction(0),) * len(signed_partitions(n)))
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
@@ -310,17 +302,15 @@ def regular_character(n: int) -> ClassFunction:
 # induced characters from explicit subgroups
 
 
-def rho_character(
-    lam: SignedPartition,
-) -> tuple[list[SignedPerm], dict[SignedPerm, Cyclotomic]]:
+def rho_character(lam: SignedPartition) -> tuple[int, dict[SignedPerm, int]]:
     """The centralizer of the standard representative with its root-of-unity
-    character: block cycles map to primitive roots (order of the cycle),
-    block sign-flips and block swaps to 1.
+    character, as ``(ambient, exponents)``: g maps to w^exponents[g] for w a
+    primitive ``ambient``-th root of unity.  Block cycles map to primitive
+    roots (order of the cycle), block sign-flips and block swaps to 1.
 
-    The value table is built by multiplicative closure on exponents of a
-    primitive ``ambient``-th root w, which agree exactly when the powers of
-    w do; conflicting word values would raise, certifying well-definedness
-    on every run.
+    The exponents are built by multiplicative closure mod ``ambient``; a
+    conflicting exponent on some element raises, certifying
+    well-definedness on every run.
     """
     n = sum(lam[0]) + sum(lam[1])
     ambient = lcm(1, *[s for s in lam[0]], *[2 * s for s in lam[1]])
@@ -352,45 +342,33 @@ def rho_character(
                         f"inconsistent character value on {gh}; not a homomorphism"
                     )
         frontier = nxt
-    roots = [Cyclotomic.root_of_unity(ambient, ambient, k) for k in range(ambient)]
-    values = {g: roots[k] for g, k in exponents.items()}
-    return sorted(values), values
+    return ambient, exponents
 
 
-def induce_character(subgroup_values, n: int) -> ClassFunction:
-    """Induce a 1-dimensional character given by {element: value} up to B_n.
+def induce_character(
+    character: tuple[int, dict[SignedPerm, int]], n: int
+) -> ClassFunction:
+    """Induce a 1-dimensional character ``(ambient, {element: exponent})``,
+    with values w^exponent for w a primitive ``ambient``-th root of unity,
+    from the subgroup H it is defined on up to B_n.
 
     chi_up(g) = (1/|H|) sum over x in B_n with x g x^{-1} in H of
-    chi(x g x^{-1}).  The sweep counts, per class, how often each distinct
-    value of chi is hit, so the sum has one term per distinct value.
-    Values may be cyclotomic; the result must reduce to rationals, which is
-    asserted.
+    chi(x g x^{-1}).  The sweep counts, per class, how often each exponent
+    is hit (code ``ambient`` off H); the counts times ``power_rows(ambient)``
+    are the sum in the power basis of Q(w).  The sum must be rational, so a
+    nonzero non-constant coordinate raises ArithmeticError.
     """
+    ambient, exponents = character
     group = get_group(n)
-    codes_of: dict[object, int] = {}
-    h_idx, h_codes = [], []
-    for g, v in dict(subgroup_values).items():
-        h_idx.append(group.index[g])
-        h_codes.append(codes_of.setdefault(v, len(codes_of)))
-    order_h = len(h_idx)
-    distinct = list(codes_of)
-    outside = len(distinct)  # the code of every element outside H
-    codes = np.full(group.order, outside, dtype=np.intp)
-    codes[h_idx] = h_codes
-    vals = []
-    for row in class_sweep(n):
-        counts = np.bincount(codes[row], minlength=outside + 1)
-        terms = [int(k) * v for k, v in zip(counts, distinct) if k]
-        if not terms:
-            vals.append(Fraction(0))
-            continue
-        total = sum(terms[1:], terms[0])
-        if isinstance(total, Cyclotomic):
-            value = total.rational_value()  # raises if irrational: induction bug
-        else:
-            value = Fraction(total)
-        vals.append(value / order_h)
-    return ClassFunction(n, tuple(vals))
+    codes = np.full(group.order, ambient, dtype=np.intp)
+    codes[[group.index[g] for g in exponents]] = [e % ambient for e in exponents.values()]
+    counts = np.stack(
+        [np.bincount(codes[row], minlength=ambient + 1) for row in class_sweep(n)]
+    )
+    sums = counts[:, :ambient] @ power_rows(ambient)
+    if sums[:, 1:].any():
+        raise ArithmeticError("induced character has an irrational value")
+    return ClassFunction(n, tuple(Fraction(int(r), len(exponents)) for r in sums[:, 0]))
 
 
 def coxeter_element(n: int) -> SignedPerm:

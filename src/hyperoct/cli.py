@@ -3,7 +3,8 @@
     hyperoct verify <suite> --n <k> [--format json|text] [--out FILE]
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error
-(unknown suite, or n outside the suite's documented bound), 3 internal
+(unknown suite, n outside the suite's documented bound, or n < 1 for
+``all``), 3 internal
 error (an exception escaped the suite; the traceback goes to stderr).  Set
 HYPEROCT_CACHE to a directory to persist character tables and rewrite
 tables between runs; reports are deterministic apart from elapsed_ms.
@@ -30,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a named verification suite",
         description="Bounds per suite: "
         + "; ".join(f"{k}: n={lo}..{hi}" for k, (lo, hi) in SUITE_BOUNDS.items())
-        + "; all: each constituent clamps to its own bound.",
+        + "; all: n>=1, each constituent clamps to its own bound.",
     )
     verify.add_argument("suite", choices=SUITE_ORDER)
     verify.add_argument("--n", type=int, required=True, metavar="K")

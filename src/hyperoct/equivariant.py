@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .permutations import SignedPerm, group_generators
 from .rings import (
@@ -40,7 +40,7 @@ from .rings import (
 U: Gen = (0,)  # the central degree-2 variable
 
 # free-ring polynomials: multiset monomial (sorted tuple of gens) -> coefficient
-FreePoly = dict[tuple, Fraction]
+FreePoly = dict[tuple, int]
 
 
 def _fmul(p: FreePoly, q: FreePoly) -> FreePoly:
@@ -48,16 +48,16 @@ def _fmul(p: FreePoly, q: FreePoly) -> FreePoly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = monomial_sort(m1 + m2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
+            out[m] = out.get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
 def _gen(g: Gen) -> FreePoly:
-    return {(g,): Fraction(1)}
+    return {(g,): 1}
 
 
 def _u_shift(g: Gen) -> FreePoly:
-    return {(g,): Fraction(1), (U,): Fraction(-1)}
+    return {(g,): 1, (U,): -1}
 
 
 def _divide_u(p: FreePoly) -> FreePoly:
@@ -71,12 +71,14 @@ def _divide_u(p: FreePoly) -> FreePoly:
 
 
 def _normalize(p: FreePoly) -> tuple:
-    """Hashable canonical form, scaled monic at the largest monomial."""
+    """Hashable canonical form: the primitive part (content 1), with a
+    positive coefficient at the largest monomial."""
     if not p:
         return ()
-    lead = max(p, key=monomial_order_key)
-    c0 = p[lead]
-    return tuple(sorted((m, Fraction(c, c0)) for m, c in p.items()))
+    content = gcd(*p.values())
+    if p[max(p, key=monomial_order_key)] < 0:
+        content = -content
+    return tuple(sorted((m, c // content) for m, c in p.items()))
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def _substitution(ring: PresentedRing, sigma: SignedPerm) -> dict[Gen, FreePoly]
         img: FreePoly = {}
         for m, c in ring.act_on_generator(sigma, g).terms.items():
             key = (U,) if m == () else m
-            img[key] = img.get(key, Fraction(0)) + c
+            img[key] = img.get(key, 0) + c
         images[g] = img
     return images
 
@@ -194,7 +196,7 @@ def specialize(relset: EquivariantRelationSet, u_value: int) -> list[FreePoly]:
             if u_value == 0 and U in m:
                 continue
             m2 = tuple(g for g in m if g != U)
-            q[m2] = q.get(m2, Fraction(0)) + c
+            q[m2] = q.get(m2, 0) + c
         q = {m: c for m, c in q.items() if c}
         if q:
             out.append(q)

@@ -19,7 +19,6 @@ import numpy as np
 from .permutations import (
     SignedPerm,
     all_signed_perms,
-    identity,
     signed_partitions,
     standard_representative,
 )
@@ -36,15 +35,6 @@ class GroupData:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity_index(self) -> int:
-        return self.index[identity(self.n)]
-
-    def conjugates(self, g: int) -> np.ndarray:
-        """Indices of x g x^{-1} for every x, as an array over x."""
-        xs = np.arange(self.order, dtype=np.int32)
-        return self.table[self.table[xs, g], self.inv[xs]]
 
 
 @lru_cache(maxsize=None)
@@ -84,11 +74,8 @@ def class_sweep(n: int) -> np.ndarray:
     The ideal and induced characters sum one row per class.
     """
     group = get_group(n)
-    conj = np.stack(
-        [
-            group.conjugates(group.index[standard_representative(lam)])
-            for lam in signed_partitions(n)
-        ]
-    )
+    reps = [group.index[standard_representative(lam)] for lam in signed_partitions(n)]
+    # x g_c x^-1 = table[table[x, g_c], inv[x]]
+    conj = group.table[group.table[:, reps].T, group.inv]
     conj.setflags(write=False)
     return conj

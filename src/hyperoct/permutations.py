@@ -417,14 +417,6 @@ def composition_helpers(p: SignedComposition):
     )
 
 
-def set_partition_of_blocks(
-    pos_blocks, neg_blocks
-) -> SignedSetPartition:
-    """Canonical form of a signed set partition (blocks sorted internally and between)."""
-    canon = lambda blocks: tuple(sorted(tuple(sorted(b)) for b in blocks))
-    return canon(pos_blocks), canon(neg_blocks)
-
-
 def set_partition_shape(alpha: SignedSetPartition) -> SignedPartition:
     """Signed partition of block sizes."""
     pos = tuple(sorted((len(b) for b in alpha[0]), reverse=True))

@@ -106,17 +106,22 @@ def type_shape(m: Monomial, rank: int) -> SignedPartition:
     return set_partition_shape(type_of(m, rank))
 
 
+@lru_cache(maxsize=None)
+def _type_buckets(rank: int) -> dict[SignedPartition, tuple[int, ...]]:
+    """Positions in the Z3 nbc basis, bucketed by the shape of their type."""
+    buckets = _basis_buckets("Z3", rank, lambda m: type_shape(m, rank))
+    return {lam: tuple(pos) for lam, pos in buckets.items()}
+
+
 def type_character(lam: SignedPartition) -> ClassFunction:
     """Character on the span of nbc monomials whose type has shape lam."""
     n = sum(lam[0]) + sum(lam[1])
-    buckets = _basis_buckets("Z3", n, lambda m: type_shape(m, n))
-    return _bucket_character("Z3", n, buckets.get(lam, ()))
+    return _bucket_character("Z3", n, _type_buckets(n).get(lam, ()))
 
 
 def type_dimension(lam: SignedPartition) -> int:
     n = sum(lam[0]) + sum(lam[1])
-    ring = get_ring("Z3", n)
-    return sum(1 for m in ring.nbc_basis() if type_shape(m, n) == lam)
+    return len(_type_buckets(n).get(lam, ()))
 
 
 def bigraded_dimensions(n: int) -> dict[tuple[int, int], int]:

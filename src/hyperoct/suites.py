@@ -2,8 +2,9 @@
 
 Each suite produces a SuiteReport with one entry per check; a failing
 check carries a serialized counterexample in its witness.  All checks are
-exact (Fraction arithmetic end to end), deterministic, and honor the
-persistent cache for character tables and rewrite tables.
+exact (integers and Fractions; roots of unity as integer exponents),
+deterministic, and honor the persistent cache for character tables and
+rewrite tables.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial, lcm
 
 from . import chambers as chmod
@@ -37,7 +37,6 @@ from .characters import (
     regular_character,
     rho_character,
 )
-from .cyclotomic import Cyclotomic
 from .permutations import (
     all_signed_perms,
     centralizer_order,
@@ -509,8 +508,7 @@ def _suite_main_iso(n: int, rec: _Recorder):
     for lam in signed_partitions(n):
         a = right_ideal_character(vazirani_idempotent(lam))
         b = type_character(lam)
-        _, vals = rho_character(lam)
-        c = induce_character(vals, n)
+        c = induce_character(rho_character(lam), n)
         if not (a == b == c):
             bad.append(lam)
     rec.record(
@@ -613,18 +611,18 @@ def _suite_gn1(n: int, rec: _Recorder):
     if n > 4:
         return
     tchar = type_character(lam)
-    _, vals = rho_character(lam)
-    ind1 = induce_character(vals, n)
+    ind1 = induce_character(rho_character(lam), n)
+    # eta^a -> w^(a ambient/n), a primitive n-th root; w0 = -1 -> w^(ambient/2)
     eta = tuple(list(range(2, n + 1)) + [1])
     w0 = longest_element(n)
     ambient = lcm(n, 2)
-    vals2 = {}
+    exponents = {}
     g = identity(n)
     for a in range(n):
-        vals2[g] = Cyclotomic.root_of_unity(ambient, n, a)
-        vals2[compose(g, w0)] = Cyclotomic.root_of_unity(ambient, n, a) * Fraction(-1)
+        exponents[g] = a * ambient // n
+        exponents[compose(g, w0)] = (a * ambient // n + ambient // 2) % ambient
         g = compose(g, eta)
-    ind2 = induce_character(vals2, n)
+    ind2 = induce_character((ambient, exponents), n)
     ok = tchar == ind1 == ind2
     rec.record(
         "top-negative-type-character",
@@ -918,9 +916,12 @@ _SUITE_FUNCS = {
 
 
 def run_suite(suite: str, n: int) -> SuiteReport:
-    """Run one named suite at rank n.  Raises ValueError for an unknown
-    suite and a RangeError-style ValueError when n is out of bounds."""
+    """Run one named suite at rank n.  Raises SuiteUsageError (a ValueError)
+    for an unknown suite, for n outside the suite's bounds, and for ``all``
+    at n < 1; ``all`` clamps n into each constituent's bounds."""
     if suite == "all":
+        if n < 1:
+            raise SuiteUsageError(f"suite 'all' supports n >= 1; refusing n={n}")
         start = time.perf_counter()
         report = SuiteReport("all", n)
         for name in SUITE_BOUNDS:

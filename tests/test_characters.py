@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -22,7 +22,7 @@ from hyperoct.characters import (
     sn_character_value,
     underlying_type,
 )
-from hyperoct.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from hyperoct.cyclotomic import cyclotomic_polynomial, power_rows
 from hyperoct.permutations import (
     all_signed_perms,
     centralizer_order,
@@ -189,28 +189,25 @@ def test_regular_character_pairing():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rho_closure_sizes(n):
     for lam in signed_partitions(n):
-        elems, values = rho_character(lam)
-        assert len(elems) == centralizer_order(lam)
-        assert len(values) == len(elems)
+        ambient, exponents = rho_character(lam)
+        assert len(exponents) == centralizer_order(lam)
+        assert all(0 <= e < ambient for e in exponents.values())
 
 
 def test_rho_trivial_on_all_singleton_positive_type():
     n = 3
-    elems, values = rho_character(((1,) * n, ()))
-    assert all(values[g] == 1 for g in elems)
+    _, exponents = rho_character(((1,) * n, ()))
+    assert all(e == 0 for e in exponents.values())
 
 
 def test_rho_on_coxeter_centralizer_is_faithful_root():
     n = 3
-    elems, values = rho_character(((), (n,)))
+    ambient, exponents = rho_character(((), (n,)))
 
-    def value_order(c):
-        acc, k = c, 1
-        while acc != 1:
-            acc, k = acc * c, k + 1
-        return k
+    def value_order(e):
+        return ambient // gcd(e, ambient)
 
-    assert max(value_order(values[g]) for g in elems) == 2 * n
+    assert max(value_order(e) for e in exponents.values()) == 2 * n
 
 
 def test_rho_character_detects_inconsistent_values(monkeypatch):
@@ -228,19 +225,43 @@ def test_rho_character_detects_inconsistent_values(monkeypatch):
         rho_character(((1, 1), (1,)))
 
 
-def _induced_by_definition(subgroup_values, n):
-    """(1/|H|) sum over x of chi(x g x^-1), chi taken as 0 off H."""
+def _mobius(m):
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def _ramanujan_sum(m, k):
+    """Sum of w^(jk) over the primitive m-th roots w^j: the trace of w^k
+    from Q(w) to Q, for w a primitive m-th root of unity."""
+    g = gcd(k, m)
+    return sum(_mobius(m // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def _induced_by_definition(character, n):
+    """(1/|H|) sum over x of chi(x g x^-1), chi taken as 0 off H.
+
+    The sum over x is sum_k c_k w^k with c_k the number of conjugates with
+    exponent k; being rational, it equals its Galois average
+    sum_k c_k c_m(k) / phi(m), with c_m the Ramanujan sum."""
+    ambient, exponents = character
+    phi = sum(1 for j in range(1, ambient + 1) if gcd(j, ambient) == 1)
     values = []
     for lam in signed_partitions(n):
         g = standard_representative(lam)
-        total = Fraction(0)
+        counts = [0] * ambient
         for x in all_signed_perms(n):
-            v = subgroup_values.get(compose(compose(x, g), inverse(x)))
-            if v is not None:
-                total = v + total
-        if isinstance(total, Cyclotomic):
-            total = total.rational_value()
-        values.append(total / len(subgroup_values))
+            e = exponents.get(compose(compose(x, g), inverse(x)))
+            if e is not None:
+                counts[e % ambient] += 1
+        trace = sum(c * _ramanujan_sum(ambient, k) for k, c in enumerate(counts))
+        values.append(Fraction(trace, phi * len(exponents)))
     return tuple(values)
 
 
@@ -250,47 +271,57 @@ def _unsigned_cycle_with_central_sign(n):
     eta = tuple(list(range(2, n + 1)) + [1])
     w0 = longest_element(n)
     ambient = lcm(n, 2)
-    values, g = {}, identity(n)
+    exponents, g = {}, identity(n)
     for a in range(n):
-        values[g] = Cyclotomic.root_of_unity(ambient, n, a)
-        values[compose(g, w0)] = Cyclotomic.root_of_unity(ambient, n, a) * Fraction(-1)
+        exponents[g] = a * ambient // n
+        exponents[compose(g, w0)] = (a * ambient // n + ambient // 2) % ambient
         g = compose(g, eta)
-    return values
+    return ambient, exponents
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_induce_character_matches_definition(n):
-    subgroups = [rho_character(lam)[1] for lam in signed_partitions(n)]
+    subgroups = [rho_character(lam) for lam in signed_partitions(n)]
     if n == 3:
         subgroups.append(_unsigned_cycle_with_central_sign(n))
-    for values in subgroups:
-        assert induce_character(values, n).values == _induced_by_definition(values, n)
+    for character in subgroups:
+        assert induce_character(character, n).values == _induced_by_definition(
+            character, n
+        )
+
+
+def test_induce_character_rejects_irrational_values():
+    # on the Coxeter cyclic group {1, c, c^2, c^3} of B_2, the exponent 1 on
+    # c alone is no character: c and c^3 are conjugate, so the sweep over the
+    # class of c sums 4i + 4
+    c = coxeter_element(2)
+    exponents = {g: 0 for g in cyclic_subgroup(c)}
+    exponents[c] = 1
+    with pytest.raises(ArithmeticError):
+        induce_character((4, exponents), 2)
 
 
 def test_induce_from_trivial_subgroup_is_regular():
     n = 2
-    chi = induce_character({(1, 2): Fraction(1)}, n)
+    chi = induce_character((1, {(1, 2): 0}), n)
     assert chi == regular_character(n)
 
 
 def test_induce_index_one():
-    elems, values = rho_character(((), (1,)))
-    chi = induce_character(values, 1)
+    chi = induce_character(rho_character(((), (1,))), 1)
     assert chi == character_table(1)[((), (1,))]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_induced_coxeter_character_degree(n):
-    _, values = rho_character(((), (n,)))
-    chi = induce_character(values, n)
+    chi = induce_character(rho_character(((), (n,))), n)
     assert chi.degree == 2 ** (n - 1) * factorial(n - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_induced_characters_decompose_integrally(n):
     for lam in signed_partitions(n):
-        _, values = rho_character(lam)
-        chi = induce_character(values, n)
+        chi = induce_character(rho_character(lam), n)
         mults = decompose(chi)
         assert all(m > 0 for m in mults.values())
 
@@ -313,7 +344,7 @@ def test_coset_character_against_induction_formula():
     for n in (2, 3):
         sub = cyclic_subgroup(coxeter_element(n))
         direct = coset_permutation_character(n, sub)
-        induced = induce_character({g: Fraction(1) for g in sub}, n)
+        induced = induce_character((1, {g: 0 for g in sub}), n)
         assert direct == induced
         assert direct.degree == group_order(n) // (2 * n)
         assert inner_product(direct, character_table(n)[((n,), ())]) == 1
@@ -325,7 +356,7 @@ def test_coset_character_rank_two_decomposition():
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic arithmetic
+# cyclotomic polynomials
 
 
 def test_cyclotomic_polynomials():
@@ -336,25 +367,17 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
-def test_root_of_unity_relations():
-    w = Cyclotomic.root_of_unity(8, 8)
-    acc = w
-    for _ in range(7):
-        acc = acc * w
-    assert acc == 1
-    partial = Cyclotomic.rational(8, 0)
-    acc = Cyclotomic.rational(8, 1)
-    for _ in range(8):
-        partial = partial + acc
-        acc = acc * w
-    assert partial.is_zero()
-    assert Cyclotomic.root_of_unity(8, 2) == Cyclotomic.rational(8, -1)
-
-
-def test_conjugate_and_rationality():
-    w = Cyclotomic.root_of_unity(5, 5)
-    real_part_sum = w + w.conjugate()
-    assert not real_part_sum.is_rational()
-    with pytest.raises(ValueError):
-        real_part_sum.rational_value()
-    assert w * w.conjugate() == 1
+@pytest.mark.parametrize("m", range(1, 13))
+def test_power_rows_reduce_modulo_cyclotomic_polynomial(m):
+    phi = cyclotomic_polynomial(m)
+    rows = power_rows(m)
+    assert rows.shape == (m, len(phi) - 1)
+    for k in range(m):
+        # x^k - row_k(x) must be a multiple of phi: divide it out exactly
+        diff = [-int(c) for c in rows[k]] + [0] * (k + 1 - len(rows[k]))
+        diff[k] += 1
+        while len(diff) >= len(phi):
+            lead = diff.pop()
+            for i, p in enumerate(phi[:-1]):
+                diff[len(diff) - len(phi) + 1 + i] -= lead * p
+        assert not any(diff)

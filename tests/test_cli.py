@@ -165,6 +165,14 @@ def test_poisoned_rewrite_table_is_recertified(tmp_path, monkeypatch):
     assert json.loads(entry.read_text()) == json.loads(good)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_all_suite_rejects_rank_below_one(k, capsys):
+    with pytest.raises(SuiteUsageError):
+        run_suite("all", k)
+    assert main(["verify", "all", "--n", str(k)]) == 2
+    assert "n >= 1" in capsys.readouterr().err
+
+
 def test_all_suite_clamps_to_bounds():
     report = run_suite("all", 1)
     names = {c.id.split("/")[0] for c in report.checks}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,7 @@ from hyperoct.equivariant import (
     verify_specializations,
 )
 from hyperoct.permutations import group_generators
-from hyperoct.rings import get_ring
+from hyperoct.rings import get_ring, monomial_order_key
 
 
 def _poly_for(relset, pattern):
@@ -99,3 +100,11 @@ def test_specialize_rejects_other_values():
     relset = equivariant_relations(1)
     with pytest.raises(ValueError):
         specialize(relset, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relations_are_primitive_with_positive_lead(n):
+    for p in equivariant_relations(n).polynomials():
+        assert all(type(c) is int for c in p.values())
+        assert gcd(*p.values()) == 1
+        assert p[max(p, key=monomial_order_key)] > 0

@@ -8,6 +8,7 @@ from hyperoct import kernels
 from hyperoct.algebra import AlgebraElement
 from hyperoct.groupdata import class_sweep, get_group
 from hyperoct.permutations import (
+    class_size,
     compose,
     inverse,
     signed_partitions,
@@ -26,14 +27,19 @@ def test_group_table_consistency():
                 assert group.elements[group.table[i, j]] == compose(g, h)
 
 
-def test_conjugates_column():
-    group = get_group(2)
-    for gi in range(group.order):
-        conj = group.conjugates(gi)
-        for xi in range(group.order):
-            x = group.elements[xi]
-            expected = compose(compose(x, group.elements[gi]), inverse(x))
-            assert group.elements[conj[xi]] == expected
+def test_class_sweep_rows_are_classes():
+    # row c hits each element of the class of g_c exactly |C(g_c)| times, and
+    # the rows' classes partition B_n (class sizes from the closed formula)
+    for n in (2, 3, 4):
+        order = get_group(n).order
+        covered = np.zeros(order, dtype=np.intp)
+        for row, lam in zip(class_sweep(n), signed_partitions(n)):
+            hits = np.bincount(row, minlength=order)
+            size = class_size(n, lam)
+            assert np.count_nonzero(hits) == size
+            assert set(hits[hits > 0]) == {order // size}
+            covered += hits > 0
+        assert (covered == 1).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
