@@ -27,9 +27,10 @@ def test_group_table_consistency():
                 assert group.elements[group.table[i, j]] == compose(g, h)
 
 
-def test_class_sweep_rows_are_classes():
-    # row c hits each element of the class of g_c exactly |C(g_c)| times, and
-    # the rows' classes partition B_n (class sizes from the closed formula)
+def test_conjugates_column():
+    # row c of class_sweep is the conjugates column of g_c: it hits each
+    # element of the class of g_c exactly |C(g_c)| times, and the rows'
+    # classes partition B_n (class sizes from the closed formula)
     for n in (2, 3, 4):
         order = get_group(n).order
         covered = np.zeros(order, dtype=np.intp)
