@@ -1,8 +1,12 @@
 """The exact-rational group algebra of B_n and its descent-type idempotents.
 
-Elements are sparse dictionaries {signed permutation: Fraction}.  Products
-go through the convolution kernel (hyperoct.kernels) on a
-shared-denominator integer encoding.
+An element is a dense array of integer numerators, one per group element
+in the order of ``get_group(n).elements``, over one shared positive
+denominator, kept reduced (gcd(num, den) = 1) so that equality and
+hashing are exact.  Sums, scalar multiples and products are integer array
+operations followed by one gcd; products go through the convolution
+kernel (hyperoct.kernels).  ``coeffs`` gives the {signed permutation:
+Fraction} view for reading and serialization.
 
 The idempotents built here live in the Mantaci-Reutenauer subalgebra: the
 shape-sum basis, the classical descent-set sums of the symmetric group,
@@ -18,7 +22,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -46,18 +50,62 @@ from .permutations import (
 
 
 class AlgebraElement:
-    """Exact-rational linear combination of B_n elements (no stored zeros)."""
+    """Exact-rational linear combination of B_n elements.
 
-    __slots__ = ("n", "coeffs")
+    Stored as integer numerators over one shared denominator: ``num[i]``
+    belongs to ``get_group(n).elements[i]``, ``den`` is positive and
+    gcd(num, den) = 1, so equal elements have equal ``(num, den)``.
+    ``num`` is read-only, int64 while every entry lies below
+    ``kernels.INT64_BOUND`` and dtype=object past it.
+
+    >>> x = AlgebraElement(1, {(1,): Fraction(1, 2), (-1,): Fraction(3, 4)})
+    >>> x.num.tolist(), x.den
+    ([3, 2], 4)
+    >>> (2 * x).num.tolist(), (2 * x).den
+    ([3, 2], 2)
+    """
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: dict[SignedPerm, Fraction] | None = None):
-        self.n = n
-        # Fractions are immutable, so an exact Fraction is kept as it is
-        self.coeffs = {
-            g: c if type(c) is Fraction else Fraction(c)
-            for g, c in (coeffs or {}).items()
-            if c
-        }
+        group = get_group(n)
+        coeffs = coeffs or {}
+        # a Fraction is already reduced; a zero is (0, 1) and stays zero
+        ratios = [
+            (c if type(c) is Fraction else Fraction(c)).as_integer_ratio()
+            for c in coeffs.values()
+        ]
+        nums, dens = zip(*ratios) if ratios else ((), ())
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*dens)
+        values = [p * (den // q) for p, q in ratios] if den != 1 else nums
+        bound = max(max(values, default=0), -min(values, default=0))
+        num = np.zeros(group.order, dtype=kernels.exact_dtype(bound))
+        num[[group.index[g] for g in coeffs]] = values
+        self._set(n, num, den)
+
+    def _set(self, n: int, num: np.ndarray, den: int):
+        num.setflags(write=False)
+        self.n, self.num, self.den = n, num, den
+
+    @staticmethod
+    def _reduced(n: int, num: np.ndarray, den: int) -> "AlgebraElement":
+        """The element num/den, brought to the canonical form."""
+        g = gcd(int(np.gcd.reduce(num)), den) if den != 1 else 1
+        if g != 1:
+            num, den = num // g, den // g
+        if num.dtype == object:
+            num = num.astype(kernels.exact_dtype(kernels.max_abs(num)))
+        out = AlgebraElement.__new__(AlgebraElement)
+        out._set(n, num, den)
+        return out
+
+    @property
+    def coeffs(self) -> dict[SignedPerm, Fraction]:
+        """The nonzero coefficients, {signed permutation: Fraction}."""
+        elements = get_group(self.n).elements
+        values, den = self.num.tolist(), self.den
+        return {elements[i]: Fraction(values[i], den) for i in np.flatnonzero(self.num).tolist()}
 
     # -- construction -----------------------------------------------------
 
@@ -81,62 +129,68 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + c
-        return AlgebraElement(self.n, out)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        dtype = kernels.exact_dtype(
+            kernels.max_abs(self.num) * sa + kernels.max_abs(other.num) * sb
+        )
+        a, b = self.num.astype(dtype, copy=False), other.num.astype(dtype, copy=False)
+        return AlgebraElement._reduced(self.n, a * sa + b * sb, den)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        scalar = Fraction(scalar)
-        return AlgebraElement(self.n, {g: scalar * c for g, c in self.coeffs.items()})
-
-    def _scaled(self, group):
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
-        idx = [group.index[g] for g in self.coeffs]
-        num = [c.numerator * (den // c.denominator) for c in self.coeffs.values()]
-        return idx, num, den
+        if self.is_zero():
+            return self
+        p, q = Fraction(scalar).as_integer_ratio()
+        num = self.num.astype(kernels.exact_dtype(kernels.max_abs(self.num) * abs(p)), copy=False)
+        return AlgebraElement._reduced(self.n, num * p, self.den * q)
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        if not self.coeffs or not other.coeffs:
+        idx_a, idx_b = np.flatnonzero(self.num), np.flatnonzero(other.num)
+        if not len(idx_a) or not len(idx_b):
             return AlgebraElement.zero(self.n)
         group = get_group(self.n)
-        idx_a, num_a, den_a = self._scaled(group)
-        idx_b, num_b, den_b = other._scaled(group)
-        dense = kernels.convolve_dense(group, idx_a, num_a, idx_b, num_b)
-        den = den_a * den_b
-        # the coefficients are already nonzero Fractions: skip __init__'s pass
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.n = self.n
-        out.coeffs = {g: Fraction(v, den) for g, v in zip(group.elements, dense) if v}
-        return out
+        coef_a, coef_b = self.num[idx_a], other.num[idx_b]
+        # past the bound the kernel gets Python integers, so that no bound
+        # computed from its arguments wraps around in int64
+        dtype = kernels.exact_dtype(
+            kernels.max_abs(coef_a) * kernels.max_abs(coef_b) * group.order
+        )
+        coef_a, coef_b = coef_a.astype(dtype, copy=False), coef_b.astype(dtype, copy=False)
+        dense = kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b)
+        return AlgebraElement._reduced(self.n, dense, self.den * other.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
             and self.n == other.n
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and np.array_equal(self.num, other.num)
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
+        return hash((self.n, self.den, tuple(self.num.tolist())))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num.any()
 
     def is_idempotent(self) -> bool:
         return self * self == self
 
     def support_size(self) -> int:
-        return len(self.coeffs)
+        return int(np.count_nonzero(self.num))
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return "AlgebraElement(0)"
         parts = [
             f"{c}*({perm_to_str(g)})" for g, c in sorted(self.coeffs.items())
@@ -302,13 +356,24 @@ def _gr_chain(n: int, p: tuple[int, ...]) -> AlgebraElement:
     return out
 
 
+@lru_cache(maxsize=None)
+def _forget_signs_index(n: int) -> np.ndarray:
+    """Read-only index array: entry i is the index of forget_signs(elements[i])."""
+    group = get_group(n)
+    out = np.array([group.index[forget_signs(g)] for g in group.elements], dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
 def tau_map(x: AlgebraElement) -> AlgebraElement:
-    """Push coefficients forward along sign forgetting, summing collisions."""
-    out: dict[SignedPerm, Fraction] = {}
-    for g, c in x.coeffs.items():
-        key = forget_signs(g)
-        out[key] = out.get(key, Fraction(0)) + c
-    return AlgebraElement(x.n, out)
+    """Push coefficients forward along sign forgetting, summing collisions.
+
+    Each unsigned permutation collects 2^n numerators; int64 holds the sum
+    below ``kernels.INT64_BOUND``, Python integers past it."""
+    num = x.num.astype(kernels.exact_dtype(kernels.max_abs(x.num) << x.n), copy=False)
+    out = np.zeros(len(num), dtype=num.dtype)
+    np.add.at(out, _forget_signs_index(x.n), num)
+    return AlgebraElement._reduced(x.n, out, x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +385,7 @@ def right_ideal_character(e: AlgebraElement) -> ClassFunction:
 
     chi(g) = sum over x of the coefficient of x g^{-1} x^{-1} in e, the
     trace of right translation on the ideal.  Requires e idempotent.  The
-    sum runs on e's shared-denominator numerators, in int64 while
+    sum runs on the numerators ``e.num``, in int64 while
     max|num| * |B_n| bounds it below ``kernels.INT64_BOUND`` and on Python
     integers past that.
     """
@@ -328,13 +393,10 @@ def right_ideal_character(e: AlgebraElement) -> ClassFunction:
         raise ValueError("element is not idempotent")
     n = e.n
     group = get_group(n)
-    idx, num, den = e._scaled(group)
-    bound = max(map(abs, num), default=0) * group.order
-    dense = np.zeros(group.order, dtype=np.int64 if bound < kernels.INT64_BOUND else object)
-    dense[idx] = num
+    num = e.num.astype(kernels.exact_dtype(kernels.max_abs(e.num) * group.order), copy=False)
     # inv[x g_c x^-1] is the index of x g_c^-1 x^-1
-    sums = dense[group.inv[class_sweep(n)]].sum(axis=1)
-    return ClassFunction(n, tuple(Fraction(int(s), den) for s in sums))
+    sums = num[group.inv[class_sweep(n)]].sum(axis=1)
+    return ClassFunction(n, tuple(Fraction(int(s), e.den) for s in sums))
 
 
 def right_ideal_dimension_by_rank(e: AlgebraElement) -> int:

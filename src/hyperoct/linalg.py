@@ -1,13 +1,18 @@
-"""Small exact linear algebra helpers: ranks over Q and modulo a prime.
+"""Small exact linear algebra helpers: ranks over Q, modulo 2 and modulo
+a prime.
 
-The mod-p rank is a certified lower bound for the rank over Q; when it
-equals the full dimension it proves full rank exactly.  The Fraction
-elimination is reserved for small matrices where a true rank is needed.
+The rank of an integer matrix modulo a prime is a certified lower bound
+for its rank over Q (a minor that is nonzero mod p is nonzero); when it
+equals the full dimension it proves full rank exactly.  The mod-2 rank
+runs on bit-packed rows and is tried first; the exact rank is a
+fraction-free (Bareiss) elimination on Python integers, for matrices
+whose rank is deficient modulo both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -38,25 +43,60 @@ def rank_mod_p(matrix, p: int = _DEFAULT_PRIME) -> int:
     return rank
 
 
-def rank_exact(rows: list[list[Fraction]]) -> int:
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+def rank_gf2(matrix) -> int:
+    """Rank over GF(2) of an integer matrix, its entries taken mod 2.
+
+    Each row is packed into 64-bit words and eliminated by XOR; the order
+    in which packing visits the columns does not change the rank.
+    """
+    bits = np.asarray(matrix) & 1
+    rows, cols = bits.shape
+    padded = np.zeros((rows, -(-cols // 64) * 64), dtype=np.uint8)
+    padded[:, :cols] = bits
+    m = np.packbits(padded, axis=1).view(np.uint64)
     rank = 0
+    for word in range(m.shape[1]):
+        for bit in range(64):
+            mask = np.uint64(1) << np.uint64(bit)
+            hits = np.flatnonzero(m[rank:, word] & mask)
+            if not hits.size:
+                continue
+            pivot = rank + hits[0]
+            m[[rank, pivot]] = m[[pivot, rank]]
+            # rows rank + 1 .. pivot (the swapped-down one too) lack the bit
+            below = pivot + 1 + np.flatnonzero(m[pivot + 1 :, word] & mask)
+            m[below] ^= m[rank]
+            rank += 1
+            if rank == rows:
+                return rank
+    return rank
+
+
+def rank_exact(rows: list[list[Fraction]]) -> int:
+    """Rank over Q: each row is scaled to integers, then a fraction-free
+    (Bareiss) elimination divides every update exactly by the last pivot."""
+    scaled = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    if not scaled or not scaled[0]:
+        return 0
+    m = np.array(scaled, dtype=object)
+    nrows, ncols = m.shape
+    rank, prev = 0, 1
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
+        hits = np.flatnonzero(m[rank:, col])
+        if not hits.size:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivot = rank + hits[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        p = m[rank, col]
+        below = m[rank + 1 :, col:]
+        m[rank + 1 :, col:] = (below * p - below[:, :1] * m[rank, col:]) // prev
+        prev = p
         rank += 1
-        if rank == len(m):
+        if rank == nrows:
             break
     return rank
 
@@ -64,11 +104,12 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
 def full_rank_certificate(matrix) -> int:
     """Exact rank of a square-or-wide integer 0/1 matrix.
 
-    The mod-p rank certifies fullness when it equals the row count; a
-    deficient mod-p rank falls back to exact elimination.
+    Full rank over GF(2) means a maximal minor is odd, so nonzero: full
+    rank over Q.  A deficient mod-2 rank falls back to the mod-p rank,
+    which certifies fullness the same way, and then to exact elimination.
     """
     m = np.asarray(matrix)
-    r = rank_mod_p(m)
-    if r == min(m.shape):
-        return r
-    return rank_exact([[Fraction(int(x)) for x in row] for row in m])
+    full = min(m.shape)
+    if rank_gf2(m) == full or rank_mod_p(m) == full:
+        return full
+    return rank_exact(m.tolist())

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperoct import kernels
@@ -230,6 +231,29 @@ def test_tau_is_multiplicative_on_random_sample():
         assert tau_map(a * b) == tau_map(a) * tau_map(b)
 
 
+@pytest.mark.parametrize("scale", [1, 2**59, 2**70], ids=["1", "2^59", "2^70"])
+def test_tau_map_matches_summing_over_forgotten_signs(scale):
+    rng = random.Random(scale)
+    elems = list(all_signed_perms(3))
+    samples = [
+        {
+            g: Fraction(scale * rng.randint(-5, 5), rng.choice((1, 2, 3)))
+            for g in rng.sample(elems, size)
+        }
+        for size in (1, 7, 48)
+    ]
+    # at 2^59 the numerators 5 * 2^59 fit int64, and the 8 of each fiber sum past it
+    samples.append({g: Fraction(5 * scale) for g in elems})
+    for a in samples:
+        expected = {}
+        for g, c in a.items():
+            key = tuple(map(abs, g))
+            expected[key] = expected.get(key, Fraction(0)) + c
+        result = tau_map(AlgebraElement(3, a))
+        assert result.coeffs == {g: c for g, c in expected.items() if c}
+        _assert_canonical(result)
+
+
 def test_right_ideal_character_trivia():
     n = 2
     chi = right_ideal_character(AlgebraElement.unit(n))
@@ -257,12 +281,13 @@ def test_right_ideal_character_rejects_non_idempotent():
 def _ideal_character_by_definition(e):
     """chi(g) = sum over x of the coefficient of x g^-1 x^-1 in e."""
     n = e.n
+    coeffs = e.coeffs
     values = []
     for lam in signed_partitions(n):
         g_inv = inverse(standard_representative(lam))
         values.append(
             sum(
-                (e.coeffs.get(compose(compose(x, g_inv), inverse(x)), Fraction(0))
+                (coeffs.get(compose(compose(x, g_inv), inverse(x)), Fraction(0))
                  for x in all_signed_perms(n)),
                 Fraction(0),
             )
@@ -291,8 +316,7 @@ def test_right_ideal_character_matches_definition(n):
     for e in idempotents:
         conj = u * e * u_inv
         if conj != e:  # e commutes with g otherwise
-            _, num, _ = conj._scaled(group)
-            assert max(map(abs, num)) * group.order >= kernels.INT64_BOUND
+            assert max(map(abs, conj.num.tolist())) * group.order >= kernels.INT64_BOUND
             moved += 1
         chi = right_ideal_character(conj)
         assert chi == right_ideal_character(e)
@@ -347,3 +371,111 @@ def test_algebra_element_json_roundtrip():
     again = AlgebraElement.from_json(x.to_json())
     assert again == x
     assert '"2,-1"' in x.to_json()
+
+
+# -- integer numerators at the exactness edge ---------------------------------
+
+
+def _fraction_sum(a, b, sign=1):
+    out = dict(a)
+    for g, c in b.items():
+        out[g] = out.get(g, Fraction(0)) + sign * c
+    return {g: c for g, c in out.items() if c}
+
+
+def _fraction_product(a, b):
+    out = {}
+    for g, ca in a.items():
+        for h, cb in b.items():
+            k = compose(g, h)
+            out[k] = out.get(k, Fraction(0)) + ca * cb
+    return {g: c for g, c in out.items() if c}
+
+
+def _assert_canonical(x):
+    num = x.num.tolist()
+    assert x.den > 0 and math.gcd(x.den, *num) == 1
+    big = max(map(abs, num)) >= kernels.INT64_BOUND
+    assert x.num.dtype == (object if big else np.int64)
+    assert not x.num.flags.writeable
+
+
+# at n = 2 the kernel stays on int64 exactly while max|a| * max|b| * 8 < 2^62
+@pytest.mark.parametrize(
+    "top, factor",
+    [(kernels.INT64_BOUND - 1, 759250124), (kernels.INT64_BOUND, 759250125)],
+    ids=["below", "past"],
+)
+def test_arithmetic_at_the_int64_edge_matches_fraction_dicts(monkeypatch, top, factor):
+    rng = random.Random(factor)
+    elems = list(all_signed_perms(2))
+    a = {elems[0]: Fraction(top), elems[1]: Fraction(-(top - 3)), elems[2]: Fraction(5)}
+    b = {g: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for g in rng.sample(elems, 5)}
+    b[elems[0]] = Fraction(-top)
+    x, y = AlgebraElement(2, a), AlgebraElement(2, b)
+    assert x.num.dtype == (np.int64 if top < kernels.INT64_BOUND else object)
+    for s in (Fraction(3, 2), Fraction(-1, 3), 2, 0):
+        result = s * x
+        assert result.coeffs == {g: s * c for g, c in a.items() if s * c}
+        _assert_canonical(result)
+    for result, expected in (
+        (x + y, _fraction_sum(a, b)),
+        (x - y, _fraction_sum(a, b, -1)),
+        (y - x, _fraction_sum(b, a, -1)),
+        (x * y, _fraction_product(a, b)),
+    ):
+        assert result.coeffs == expected
+        _assert_canonical(result)
+    # products whose numerators reach the kernel's own bound: 7 divides
+    # neither factor, so max|num| = factor in both factors
+    dtypes = []
+    honest = kernels.convolve_dense
+
+    def convolve_dense(group, idx_a, coef_a, idx_b, coef_b):
+        dtypes.append(coef_a.dtype)
+        return honest(group, idx_a, coef_a, idx_b, coef_b)
+
+    monkeypatch.setattr(kernels, "convolve_dense", convolve_dense)
+    p = {elems[3]: Fraction(factor), elems[4]: Fraction(-factor), elems[5]: Fraction(1)}
+    q = {elems[6]: Fraction(factor, 7), elems[7]: Fraction(-factor, 7), elems[0]: Fraction(2)}
+    for u, v in ((p, q), (q, p), (p, p)):
+        result = AlgebraElement(2, u) * AlgebraElement(2, v)
+        assert result.coeffs == _fraction_product(u, v)
+        _assert_canonical(result)
+    assert dtypes == [np.int64 if factor == 759250124 else object] * 3
+
+
+def test_canonical_form_makes_equality_and_hash_exact():
+    x = AlgebraElement(
+        3, {(2, -1, 3): Fraction(3, 4), (1, 2, 3): Fraction(-2), (-3, 1, 2): Fraction(5, 6)}
+    )
+    assert 2 * (Fraction(1, 2) * x) == x
+    assert hash(2 * (Fraction(1, 2) * x)) == hash(x)
+    g = (2, 1, 3)
+    half_g = [
+        AlgebraElement(3, {g: Fraction(2, 4)}),
+        Fraction(1, 2) * AlgebraElement.basis(g),
+        AlgebraElement.basis(g) - Fraction(1, 2) * AlgebraElement.basis(g),
+        AlgebraElement.from_json(AlgebraElement(3, {g: Fraction(1, 2)}).to_json()),
+        # a detour past the int64 bound returns to int64 numerators
+        (AlgebraElement.basis(g) * 2**70 + Fraction(1, 2) * AlgebraElement.basis(g))
+        - 2**70 * AlgebraElement.basis(g),
+    ]
+    for e in half_g:
+        assert (e.num.tolist(), e.den) == (half_g[0].num.tolist(), 2)
+        assert e == half_g[0] and hash(e) == hash(half_g[0])
+        _assert_canonical(e)
+    big = AlgebraElement(3, {g: Fraction(2**70, 3), (1, 2, 3): Fraction(1)})
+    assert (2**70 * AlgebraElement.zero(3)).is_zero()
+    for e in (x, big):
+        zero = e - e
+        assert zero.is_zero() and zero.den == 1 and zero == AlgebraElement.zero(3)
+        assert hash(zero) == hash(AlgebraElement.zero(3))
+
+
+def test_cached_idempotent_numerators_are_read_only():
+    e = vazirani_idempotent(((1,), (1,)))
+    before = e.num.tolist()
+    with pytest.raises(ValueError):
+        e.num[0] += 1
+    assert vazirani_idempotent(((1,), (1,))).num.tolist() == before

@@ -270,3 +270,31 @@ def test_rank_deficient_evaluation_matrix_fails_the_chamber_suite(monkeypatch):
     check = {c.id: c for c in run_suite("chambers", 2).checks}["evaluation-matrix-rank"]
     assert check.status == "fail"
     assert check.witness.startswith("rank 1 of the 8 x 8 evaluation matrix")
+
+
+def test_duplicated_column_fails_the_chamber_suite_at_rank_four(monkeypatch):
+    from hyperoct import chambers, linalg
+    from hyperoct.suites import run_suite
+
+    honest = chambers.generator_columns
+
+    def duplicated(n, gens):
+        # the second generator evaluates like the first: their two
+        # single-generator monomials give equal columns
+        columns = honest(n, gens)
+        columns[gens[1]] = columns[gens[0]]
+        return columns
+
+    fallbacks = []
+    honest_exact = linalg.rank_exact
+
+    def rank_exact(rows):
+        fallbacks.append(len(rows))
+        return honest_exact(rows)
+
+    monkeypatch.setattr(chambers, "generator_columns", duplicated)
+    monkeypatch.setattr(linalg, "rank_exact", rank_exact)
+    check = {c.id: c for c in run_suite("chambers", 4).checks}["evaluation-matrix-rank"]
+    assert check.status == "fail"
+    assert check.witness.endswith("of the 384 x 384 evaluation matrix is not the group order 384")
+    assert fallbacks == [384]

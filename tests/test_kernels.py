@@ -110,7 +110,7 @@ def test_convolve_dense_matches_double_sum(monkeypatch, n, size_a, size_b, bound
             coef_b = [rng.randint(-bound, bound) for _ in idx_b]
             coef_a[0], coef_b[0] = bound, -bound
         expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
-        assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b) == expected
+        assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b).tolist() == expected
     dtype = np.int64 if bound * bound * group.order < 2**62 else object
     assert spy.dtypes == [dtype] * 3
 
