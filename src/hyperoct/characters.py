@@ -135,14 +135,19 @@ def _class_position(n: int, lam: SignedPartition) -> int:
     return _class_positions(n)[lam]
 
 
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """Class sizes of B_n, indexed like signed_partitions(n)."""
+    return tuple(class_size(n, lam) for lam in signed_partitions(n))
+
+
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
     """(1/|B_n|) sum over classes of |C| chi(C) psi(C); values here are real."""
     if chi.n != psi.n:
         raise ValueError("rank mismatch")
     n = chi.n
     total = sum(
-        class_size(n, lam) * a * b
-        for lam, a, b in zip(signed_partitions(n), chi.values, psi.values)
+        size * a * b for size, a, b in zip(_class_sizes(n), chi.values, psi.values)
     )
     return Fraction(total, group_order(n))
 

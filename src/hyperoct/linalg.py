@@ -5,8 +5,9 @@ The rank of an integer matrix modulo a prime is a certified lower bound
 for its rank over Q (a minor that is nonzero mod p is nonzero); when it
 equals the full dimension it proves full rank exactly.  The mod-2 rank
 runs on bit-packed rows and is tried first; the exact rank is a
-fraction-free (Bareiss) elimination on Python integers, for matrices
-whose rank is deficient modulo both.
+fraction-free (Bareiss) elimination, on int64 while its entries stay
+small and on Python integers after, for matrices whose rank is deficient
+modulo both.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import lcm
 import numpy as np
 
 _DEFAULT_PRIME = 2_147_483_647  # Mersenne prime; products still fit in int64
+_INT64_SAFE = 2**31  # Bareiss entries below this keep every update inside int64
 
 
 def rank_mod_p(matrix, p: int = _DEFAULT_PRIME) -> int:
@@ -72,9 +74,20 @@ def rank_gf2(matrix) -> int:
     return rank
 
 
+def _widened(m: np.ndarray) -> np.ndarray:
+    return m.astype(object)
+
+
 def rank_exact(rows: list[list[Fraction]]) -> int:
     """Rank over Q: each row is scaled to integers, then a fraction-free
-    (Bareiss) elimination divides every update exactly by the last pivot."""
+    (Bareiss) elimination divides every update exactly by the last pivot.
+
+    The elimination runs on int64 while every entry still to be used is
+    below ``_INT64_SAFE`` in magnitude: each product then stays below 2^62
+    and each difference below 2^63.  The bound is checked before every
+    pivot step, and the matrix widens to Python integers once an entry
+    passes it.
+    """
     scaled = []
     for row in rows:
         row = [Fraction(x) for x in row]
@@ -82,16 +95,19 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
         scaled.append([x.numerator * (den // x.denominator) for x in row])
     if not scaled or not scaled[0]:
         return 0
-    m = np.array(scaled, dtype=object)
+    small = max(abs(x) for row in scaled for x in row) < _INT64_SAFE
+    m = np.array(scaled, dtype=np.int64 if small else object)
     nrows, ncols = m.shape
     rank, prev = 0, 1
     for col in range(ncols):
         hits = np.flatnonzero(m[rank:, col])
         if not hits.size:
             continue
+        if m.dtype != object and np.abs(m[rank:, col:]).max() >= _INT64_SAFE:
+            m = _widened(m)
         pivot = rank + hits[0]
         m[[rank, pivot]] = m[[pivot, rank]]
-        p = m[rank, col]
+        p = int(m[rank, col])
         below = m[rank + 1 :, col:]
         m[rank + 1 :, col:] = (below * p - below[:, :1] * m[rank, col:]) // prev
         prev = p

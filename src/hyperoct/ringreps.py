@@ -40,26 +40,31 @@ def diagonal_coefficients(
 ) -> dict[SignedPartition, tuple[int, ...]]:
     """Per class representative, the action's diagonal on the nbc basis."""
     ring = get_ring(space, rank)
-    basis = ring.nbc_basis()
+    basis = ring.nbc_masks()
     n_act = acting_rank(space, rank)
     out: dict[SignedPartition, tuple[int, ...]] = {}
     for lam in signed_partitions(n_act):
         sigma = standard_representative(lam)
-        images = {g: ring.act_on_generator(sigma, g).terms for g in ring.gens}
-        # image of each monomial prefix, in normal form
-        prefixes: dict[Monomial, dict[Monomial, int]] = {(): {(): 1}}
+        images = {ring.bits[g]: ring.act_on_generator(sigma, g).masks for g in ring.gens}
+        # image of each monomial prefix (all but its highest bit), in normal form
+        prefixes: dict[int, dict[int, int]] = {0: {0: 1}}
 
-        def image_of(prefix: Monomial) -> dict[Monomial, int]:
+        def image_of(prefix: int) -> dict[int, int]:
             img = prefixes.get(prefix)
             if img is None:
-                img = ring.product(image_of(prefix[:-1]), images[prefix[-1]])
+                top = 1 << (prefix.bit_length() - 1)
+                img = ring.product(image_of(prefix ^ top), images[top])
                 prefixes[prefix] = img
             return img
 
-        out[lam] = tuple(
-            ring.product_coefficient(image_of(m[:-1]), images[m[-1]], m) if m else 1
-            for m in basis
-        )
+        row = []
+        for m in basis:
+            if m:
+                top = 1 << (m.bit_length() - 1)
+                row.append(ring.product_coefficient(image_of(m ^ top), images[top], m))
+            else:
+                row.append(1)
+        out[lam] = tuple(row)
     return out
 
 

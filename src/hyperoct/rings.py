@@ -30,6 +30,16 @@ a table is ``verify_relations``, which reduces every instance to zero: the
 tests run it on fresh tables, and a table loaded from the cache must pass
 it before it is used, or it is rebuilt and stored again.
 
+Inside the engine a square-free monomial is an int bitmask: the ring
+numbers its generators in ``gen_rank_key`` order and sets bit k for
+generator k.  A graded product of two monomials vanishes exactly when
+their masks share a bit and is otherwise their union; in the d = 1 rings
+(idempotent generators) it is always the union.  Because the bit order is
+the rank order, ``(popcount, mask)`` is the monomial order, and the rule
+table is keyed by the mask of the straightened generator pair.  Tuples of
+generators appear only at the edges: ``RingElement.terms``,
+``nbc_basis``, ``rules``, JSON and the cache files.
+
 Coefficients are Python ints throughout: orienting a rule divides by its
 lead coefficient exactly (every rule coefficient lies in -2..2 at rank
 <= 4), and ``RingElement`` rejects a coefficient that is not a whole
@@ -48,6 +58,7 @@ from .permutations import SignedPerm, apply
 
 Gen = tuple  # (i,) loop; (i, j, s) pair, i < j, s in {1, -1}; (0,) is reserved
 Monomial = tuple  # sorted tuple of Gens
+Mask = int  # square-free monomial: bit k set for the ring's generator k
 
 SPACES = ("Z1", "Z3", "Y1", "Y3")
 
@@ -67,6 +78,11 @@ def monomial_sort(gens) -> Monomial:
 
 def monomial_order_key(m: Monomial):
     return (len(m), tuple(sorted((gen_rank_key(g) for g in m), reverse=True)))
+
+
+def mask_order_key(m: Mask) -> tuple[int, int]:
+    """``monomial_order_key`` of a mask: bit order is the rank-key order."""
+    return (m.bit_count(), m)
 
 
 def gen_hand(g: Gen) -> int:
@@ -109,16 +125,37 @@ def _integral(c) -> int:
 
 
 class RingElement:
-    """Linear combination of normal-form monomials in a presented ring."""
+    """Linear combination of normal-form monomials in a presented ring.
 
-    __slots__ = ("ring", "terms")
+    ``masks`` maps each monomial's mask to its coefficient; ``terms`` is
+    the same combination keyed by tuples of generators.
+    """
+
+    __slots__ = ("ring", "masks", "_terms")
 
     def __init__(self, ring: "PresentedRing", terms: dict[Monomial, int] | None = None):
+        masks: dict[Mask, int] = {}
+        for m, c in (terms or {}).items():
+            if c:
+                k = ring.mask_of(m)
+                masks[k] = masks.get(k, 0) + _integral(c)
         self.ring = ring
-        terms = {m: c for m, c in (terms or {}).items() if c}
-        if any(type(c) is not int for c in terms.values()):
-            terms = {m: _integral(c) for m, c in terms.items()}
-        self.terms = terms
+        self.masks = {k: c for k, c in masks.items() if c}
+        self._terms = None
+
+    @classmethod
+    def _of(cls, ring: "PresentedRing", masks: dict[Mask, int]) -> "RingElement":
+        """Wrap a mask dict of nonzero int coefficients without copying it."""
+        x = cls.__new__(cls)
+        x.ring, x.masks, x._terms = ring, masks, None
+        return x
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        if self._terms is None:
+            tup = self.ring.monomial_of
+            self._terms = {tup(k): c for k, c in self.masks.items()}
+        return self._terms
 
     def _check(self, other: "RingElement"):
         if self.ring is not other.ring:
@@ -126,50 +163,57 @@ class RingElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return RingElement(self.ring, out)
+        return RingElement._of(self.ring, poly_add(self.masks, other.masks))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
         scalar = _integral(scalar)
-        return RingElement(self.ring, {m: scalar * c for m, c in self.terms.items()})
+        if not scalar:
+            return RingElement._of(self.ring, {})
+        return RingElement._of(self.ring, {k: scalar * c for k, c in self.masks.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        return RingElement(self.ring, self.ring.product(self.terms, other.terms))
+        return RingElement._of(self.ring, self.ring.product(self.masks, other.masks))
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
             and self.ring is other.ring
-            and self.terms == other.terms
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        return hash((id(self.ring), frozenset(self.masks.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.masks
 
     def homogeneous_part(self, degree: int) -> "RingElement":
-        return RingElement(
-            self.ring, {m: c for m, c in self.terms.items() if len(m) == degree}
+        return RingElement._of(
+            self.ring, {k: c for k, c in self.masks.items() if k.bit_count() == degree}
         )
 
     def coefficient(self, m: Monomial) -> int:
-        return self.terms.get(m, 0)
+        try:
+            return self.masks.get(self.ring.mask_of(m), 0)
+        except ValueError:  # not a square-free monomial of this ring
+            return 0
+
+    def _sorted_terms(self):
+        tup = self.ring.monomial_of
+        for k in sorted(self.masks, key=mask_order_key):
+            yield tup(k), self.masks[k]
 
     def __repr__(self):
-        if not self.terms:
+        if not self.masks:
             return "0"
         bits = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: monomial_order_key(kv[0])):
+        for m, c in self._sorted_terms():
             name = "*".join(gen_pretty(g) for g in m) if m else "1"
             bits.append(f"({c})*{name}")
         return " + ".join(bits)
@@ -180,7 +224,7 @@ class RingElement:
                 "monomial": [gen_to_token(g) for g in m],
                 "coeff": f"{c.numerator}/{c.denominator}",
             }
-            for m, c in sorted(self.terms.items(), key=lambda kv: monomial_order_key(kv[0]))
+            for m, c in self._sorted_terms()
         ]
         return json.dumps(data, sort_keys=True)
 
@@ -210,42 +254,101 @@ class PresentedRing:
             for i in range(1, j)
             for s in (1, -1)
         ]
-        self._nf_cache: dict[Monomial, dict[Monomial, int]] = {}
-        self.rules: dict[tuple[Gen, Gen], dict[Monomial, int]] = {}
+        # generator k of the mask encoding, and its bit
+        self._bit_gens: tuple[Gen, ...] = tuple(sorted(self.gens, key=gen_rank_key))
+        self.bits: dict[Gen, int] = {g: 1 << k for k, g in enumerate(self._bit_gens)}
+        hand_masks = [0] * (rank + 1)
+        for g, b in self.bits.items():
+            hand_masks[gen_hand(g)] |= b
+        self._hand_masks = hand_masks[1:]
+        # per bit k: the bits above k in the same hand
+        self._higher_in_hand = [
+            hand_masks[gen_hand(g)] & -(2 << k) for k, g in enumerate(self._bit_gens)
+        ]
+        self._monomials: dict[Mask, Monomial] = {}
+        self._masks: dict[Monomial, Mask] = {}
+        self._labels: dict[tuple, RingElement] = {}
+        self._nbc: tuple[Mask, ...] | None = None
+        self._nbc_monomials: tuple[Monomial, ...] | None = None
+        self._nf_cache: dict[Mask, dict[Mask, int]] = {}
+        self._table: dict[Mask, dict[Mask, int]] = {}
+        self._rules_view: dict | None = None
         self._build_rules()
+
+    # -- encoding ---------------------------------------------------------------
+
+    def monomial_of(self, mask: Mask) -> Monomial:
+        """The sorted tuple of generators whose bits ``mask`` sets."""
+        m = self._monomials.get(mask)
+        if m is None:
+            gens = self._bit_gens
+            m = tuple(gens[k] for k in range(mask.bit_length()) if mask >> k & 1)
+            self._monomials[mask] = m
+        return m
+
+    def mask_of(self, m: Monomial) -> Mask:
+        """The mask of a monomial of distinct generators of this ring."""
+        mask = self._masks.get(m)
+        if mask is None:
+            mask = 0
+            for g in m:
+                b = self.bits.get(g)
+                if b is None or mask & b:
+                    raise ValueError(f"{m!r} is not a square-free monomial of {self.space}")
+                mask |= b
+            self._masks[m] = mask
+        return mask
+
+    def _raw_mask(self, m) -> Mask | None:
+        """Mask of a free monomial after collapsing squares; None means it
+        vanished (graded case)."""
+        mask = 0
+        for g in m:
+            b = self.bits[g]
+            if mask & b and self.graded:
+                return None
+            mask |= b
+        return mask
 
     # -- building blocks ----------------------------------------------------
 
     def zero(self) -> RingElement:
-        return RingElement(self)
+        return RingElement._of(self, {})
 
     def one(self) -> RingElement:
-        return RingElement(self, {(): 1})
+        return RingElement._of(self, {0: 1})
 
     def generator(self, g: Gen) -> RingElement:
-        return RingElement(self, {(g,): 1})
+        return RingElement._of(self, {self.mask_of((g,)): 1})
 
     def monomial(self, m: Monomial) -> RingElement:
-        return RingElement(self, {monomial_sort(m): 1})
+        return RingElement._of(self, {self.mask_of(tuple(m)): 1})
 
     def canonical_loop(self, a: int) -> RingElement:
         """The loop labeled by a signed index, as a canonical combination."""
-        if a == 0:
-            raise ValueError("loop index must be nonzero")
-        if a > 0:
-            return self.generator((a,))
-        neg = -1 * self.generator((-a,))
-        return neg if self.graded else self.one() + neg
+        x = self._labels.get((a,))
+        if x is None:
+            if a == 0:
+                raise ValueError("loop index must be nonzero")
+            if a > 0:
+                x = self.generator((a,))
+            else:
+                x = self._op_not(self.generator((-a,)))
+            self._labels[(a,)] = x
+        return x
 
     def canonical_pair(self, a: int, b: int) -> RingElement:
         """The pair labeled by two signed indices, as a canonical combination."""
+        x = self._labels.get((a, b))
+        if x is None:
+            x = self._labels[(a, b)] = self._pair_label(a, b)
+        return x
+
+    def _pair_label(self, a: int, b: int) -> RingElement:
         if abs(a) == abs(b) or a == 0 or b == 0:
             raise ValueError(f"pair indices must have distinct nonzero moduli: {a},{b}")
         if abs(a) > abs(b):
-            swapped = self.canonical_pair(b, a)
-            return (
-                -1 * swapped if self.graded else self.one() - swapped
-            )
+            return self._op_not(self.canonical_pair(b, a))
         if a > 0:
             return self.generator((a, abs(b), 1 if b > 0 else -1))
         # a < 0, |a| < |b|: rewrite the negated first index
@@ -266,49 +369,40 @@ class PresentedRing:
 
     # -- free expansion (used only while generating relations) ---------------
 
-    def _square_free(self, gens) -> Monomial | None:
-        """Collapse squares; None means the monomial vanished (graded case)."""
-        distinct = set(gens)
-        if self.graded and len(distinct) != len(list(gens)):
-            return None
-        return monomial_sort(distinct)
-
-    def _free_product(self, polys) -> dict[Monomial, int]:
-        out = {(): 1}
+    def _free_product(self, polys) -> dict[Mask, int]:
+        graded = self.graded
+        out = {0: 1}
         for poly in polys:
-            nxt: dict[Monomial, int] = {}
+            nxt: dict[Mask, int] = {}
             for m1, c1 in out.items():
                 for m2, c2 in poly.items():
-                    m = self._square_free(m1 + m2)
-                    if m is None:
+                    if graded and m1 & m2:
                         continue
+                    m = m1 | m2
                     nxt[m] = nxt.get(m, 0) + c1 * c2
             out = {m: c for m, c in nxt.items() if c}
         return out
-
-    def _linear(self, element: RingElement) -> dict[Monomial, int]:
-        return dict(element.terms)
 
     def _relation_instances(self):
         """All defining relations instantiated over signed index labels."""
         letters = [i for i in range(1, self.rank + 1)] + [
             -i for i in range(1, self.rank + 1)
         ]
+        loop = {a: self.canonical_loop(a).masks for a in letters}
+        pair = {
+            (a, b): self.canonical_pair(a, b).masks
+            for a, b in itertools.permutations(letters, 2)
+            if abs(a) != abs(b)
+        }
 
         def one_minus(p):
             out = {m: -c for m, c in p.items()}
-            out[()] = out.get((), 0) + 1
+            out[0] = out.get(0, 0) + 1
             return {m: c for m, c in out.items() if c}
 
         rels = []
-        pairs = [
-            (a, b) for a, b in itertools.permutations(letters, 2) if abs(a) != abs(b)
-        ]
-        for a, b in pairs:
-            zab = self._linear(self.canonical_pair(a, b))
-            za = self._linear(self.canonical_loop(a))
-            zb = self._linear(self.canonical_loop(b))
-            zab_neg = self._linear(self.canonical_pair(a, -b))
+        for a, b in pair:
+            zab, za, zb, zab_neg = pair[(a, b)], loop[a], loop[b], pair[(a, -b)]
             if self.graded:
                 # pair*loop and the mixed pair/pair straightenings
                 rels.append(
@@ -345,9 +439,7 @@ class PresentedRing:
         for a, b, c in itertools.permutations(letters, 3):
             if len({abs(a), abs(b), abs(c)}) != 3:
                 continue
-            zab = self._linear(self.canonical_pair(a, b))
-            zbc = self._linear(self.canonical_pair(b, c))
-            zac = self._linear(self.canonical_pair(a, c))
+            zab, zbc, zac = pair[(a, b)], pair[(b, c)], pair[(a, c)]
             if self.graded:
                 rels.append(
                     poly_sub(
@@ -369,21 +461,39 @@ class PresentedRing:
 
     # -- completion -----------------------------------------------------------
 
+    @property
+    def rules(self) -> dict[tuple[Gen, Gen], dict[Monomial, int]]:
+        """The rule table keyed by generator pairs in both orders (read-only)."""
+        if self._rules_view is None:
+            tup = self.monomial_of
+            view = {}
+            for pair, rhs in self._table.items():
+                g1, g2 = tup(pair)
+                view[(g1, g2)] = view[(g2, g1)] = {tup(m): c for m, c in rhs.items()}
+            self._rules_view = view
+        return self._rules_view
+
+    def _set_table(self, table: dict[Mask, dict[Mask, int]]):
+        self._table = table
+        self._rules_view = None
+        self._nf_cache.clear()
+
     def _build_rules(self):
         key = f"rewrite-v1-{self.space}-n{self.rank}"
         stored = cache.load(key)
         if stored is not None and self._rules_from_cache(stored):
             return
-        queue = self._relation_instances()
-        for poly in queue:
+        for poly in self._relation_instances():
             reduced = self._reduce_poly(poly)
             if not reduced:
                 continue
-            lead = max(reduced, key=monomial_order_key)
+            lead = max(reduced, key=mask_order_key)
             lead_c = reduced[lead]
-            if len(lead) != 2 or gen_hand(lead[0]) != gen_hand(lead[1]):
+            low = lead & -lead
+            if lead.bit_count() != 2 or not lead & self._higher_in_hand[low.bit_length() - 1]:
                 raise AssertionError(
-                    f"irreducible relation with normal-form lead {lead} in {self.space}"
+                    f"irreducible relation with normal-form lead {self.monomial_of(lead)} "
+                    f"in {self.space}"
                 )
             rhs = {}
             for m, c in reduced.items():
@@ -393,33 +503,30 @@ class PresentedRing:
                 if rest:
                     raise AssertionError(
                         f"lead coefficient {lead_c} does not divide relation "
-                        f"{reduced} in {self.space}"
+                        f"{RingElement._of(self, reduced)} in {self.space}"
                     )
                 rhs[m] = quotient
-            self.rules[(lead[0], lead[1])] = rhs
-            self.rules[(lead[1], lead[0])] = rhs
+            self._table[lead] = rhs
             self._nf_cache.clear()
         self._assert_complete()
         self._interreduce()
         cache.store(key, self._rules_to_cache())
 
     def _assert_complete(self):
-        for j in range(1, self.rank + 1):
-            hand = [g for g in self.gens if gen_hand(g) == j]
-            for g1, g2 in itertools.combinations(hand, 2):
-                if (g1, g2) not in self.rules:
+        for k, g in enumerate(self._bit_gens):
+            partners = self._higher_in_hand[k]
+            while partners:
+                b = partners & -partners
+                if (1 << k) | b not in self._table:
+                    other = self.monomial_of(b)[0]
                     raise AssertionError(
-                        f"no straightening rule for {gen_pretty(g1)}*{gen_pretty(g2)}"
+                        f"no straightening rule for {gen_pretty(g)}*{gen_pretty(other)}"
                     )
+                partners ^= b
 
     def _interreduce(self):
-        for key_pair in list(self.rules):
-            rhs = self.rules[key_pair]
-            flat: dict[Monomial, int] = {}
-            for m, c in rhs.items():
-                for m2, c2 in self._normal_form(m).items():
-                    flat[m2] = flat.get(m2, 0) + c * c2
-            self.rules[key_pair] = {m: c for m, c in flat.items() if c}
+        for pair, rhs in list(self._table.items()):
+            self._table[pair] = self._reduce_poly(rhs)
         self._nf_cache.clear()
 
     def _rules_to_cache(self):
@@ -439,36 +546,50 @@ class PresentedRing:
         try:
             if stored["space"] != self.space or stored["rank"] != self.rank:
                 return False
-            rules = {}
+            table: dict[Mask, dict[Mask, int]] = {}
             for key, rhs_list in stored["rules"].items():
                 t1, t2 = key.split("*")
                 g1, g2 = token_to_gen(t1), token_to_gen(t2)
+                if g1 == g2 or gen_hand(g1) != gen_hand(g2):
+                    raise ValueError(f"rule key {key!r} is not a same-hand pair")
                 rhs = {}
                 for item in rhs_list:
                     m = monomial_sort(token_to_gen(t) for t in item["monomial"])
-                    rhs[m] = _integral(Fraction(item["coeff"]))
-                rules[(g1, g2)] = rhs
-            self.rules = rules
+                    rhs[self.mask_of(m)] = _integral(Fraction(item["coeff"]))
+                pair = self.bits[g1] | self.bits[g2]
+                if table.setdefault(pair, rhs) != rhs:
+                    raise ValueError(f"the two orders of rule {key!r} disagree")
+            if len(stored["rules"]) != 2 * len(table):
+                raise ValueError("a rule is stored in one order only")
+            self._set_table(table)
             self._assert_complete()
             self.verify_relations()
             return True
         except (KeyError, ValueError, TypeError, ZeroDivisionError, AssertionError, RuntimeError):
             # RuntimeError covers a table whose rewriting never terminates
-            self.rules = {}
-            self._nf_cache.clear()
+            self._set_table({})
             return False
 
     # -- normal forms ----------------------------------------------------------
 
-    def _find_collision(self, m: Monomial):
-        for i in range(len(m)):
-            hand = gen_hand(m[i])
-            for j in range(i + 1, len(m)):
-                if gen_hand(m[j]) == hand and (m[i], m[j]) in self.rules:
-                    return i, j
+    def _find_collision(self, m: Mask):
+        """The first same-hand pair of ``m`` that has a rule: the lowest bit
+        that has one, with its lowest such partner."""
+        table, higher = self._table, self._higher_in_hand
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            partners = m & higher[low.bit_length() - 1]
+            while partners:
+                b = partners & -partners
+                rhs = table.get(low | b)
+                if rhs is not None:
+                    return low | b, rhs
+                partners ^= b
         return None
 
-    def _normal_form(self, m: Monomial, _budget: list | None = None) -> dict[Monomial, int]:
+    def _normal_form(self, m: Mask, _budget: list | None = None) -> dict[Mask, int]:
         cached = self._nf_cache.get(m)
         if cached is not None:
             return cached
@@ -477,70 +598,76 @@ class PresentedRing:
         _budget[0] -= 1
         if _budget[0] < 0:
             raise RuntimeError("rewrite step bound exceeded")
-        pos = self._find_collision(m)
-        if pos is None:
+        hit = self._find_collision(m)
+        if hit is None:
             out = {m: 1}
         else:
-            i, j = pos
-            g1, g2 = m[i], m[j]
-            rest = m[:i] + m[i + 1 : j] + m[j + 1 :]
+            pair, rhs = hit
+            rest = m ^ pair
+            graded = self.graded
             out = {}
-            for sub, c in self.rules[(g1, g2)].items():
-                merged = self._square_free(rest + sub)
-                if merged is None:
+            for sub, c in rhs.items():
+                if graded and rest & sub:
                     continue
-                for m2, c2 in self._normal_form(merged, _budget).items():
+                for m2, c2 in self._normal_form(rest | sub, _budget).items():
                     out[m2] = out.get(m2, 0) + c * c2
             out = {mm: cc for mm, cc in out.items() if cc}
         self._nf_cache[m] = out
         return out
 
-    def _reduce_poly(self, poly: dict[Monomial, int]) -> dict[Monomial, int]:
-        out: dict[Monomial, int] = {}
+    def _reduce_poly(self, poly: dict[Mask, int]) -> dict[Mask, int]:
+        out: dict[Mask, int] = {}
         for m, c in poly.items():
             for m2, c2 in self._normal_form(m).items():
                 out[m2] = out.get(m2, 0) + c * c2
         return {m: c for m, c in out.items() if c}
 
-    def normal_form_product(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
-        merged = self._square_free(m1 + m2)
-        if merged is None:
-            return {}
-        return self._normal_form(merged)
-
-    def product(
-        self, p: dict[Monomial, int], q: dict[Monomial, int]
-    ) -> dict[Monomial, int]:
+    def product(self, p: dict[Mask, int], q: dict[Mask, int]) -> dict[Mask, int]:
         """Normal form of the product of two normal-form polynomials."""
-        out: dict[Monomial, int] = {}
+        graded, nf_cache = self.graded, self._nf_cache
+        out: dict[Mask, int] = {}
         for m1, c1 in p.items():
             for m2, c2 in q.items():
-                for m, c in self.normal_form_product(m1, m2).items():
-                    out[m] = out.get(m, 0) + c1 * c2 * c
+                if graded and m1 & m2:
+                    continue
+                m = m1 | m2
+                nf = nf_cache.get(m)
+                if nf is None:
+                    nf = self._normal_form(m)
+                c12 = c1 * c2
+                for m3, c3 in nf.items():
+                    out[m3] = out.get(m3, 0) + c12 * c3
         return {m: c for m, c in out.items() if c}
 
     def product_coefficient(
-        self, p: dict[Monomial, int], q: dict[Monomial, int], target: Monomial
+        self, p: dict[Mask, int], q: dict[Mask, int], target: Mask
     ) -> int:
         """Coefficient of ``target`` in ``product(p, q)``, without forming it."""
+        graded, nf_cache = self.graded, self._nf_cache
         total = 0
         for m1, c1 in p.items():
             for m2, c2 in q.items():
-                c = self.normal_form_product(m1, m2).get(target)
+                if graded and m1 & m2:
+                    continue
+                m = m1 | m2
+                nf = nf_cache.get(m)
+                if nf is None:
+                    nf = self._normal_form(m)
+                c = nf.get(target)
                 if c:
                     total += c1 * c2 * c
         return total
 
     def reduce_raw(self, poly: dict[Monomial, int]) -> RingElement:
         """Reduce a free polynomial (square collapse plus straightening)."""
-        out: dict[Monomial, int] = {}
+        out: dict[Mask, int] = {}
         for m, c in poly.items():
-            sq = self._square_free(m)
+            sq = self._raw_mask(m)
             if sq is None:
                 continue
             for m2, c2 in self._normal_form(sq).items():
                 out[m2] = out.get(m2, 0) + c * c2
-        return RingElement(self, out)
+        return RingElement._of(self, {m: c for m, c in out.items() if c})
 
     def verify_relations(self) -> int:
         """Re-reduce every defining-relation instance to zero; returns the count."""
@@ -553,24 +680,33 @@ class PresentedRing:
 
     # -- basis and series --------------------------------------------------------
 
+    def nbc_masks(self) -> tuple[Mask, ...]:
+        """Masks of the products of at most one generator per hand, in
+        monomial order; built once per ring."""
+        if self._nbc is None:
+            masks = [0]
+            for hand in self._hand_masks:
+                choices = [0] + [b for b in self.bits.values() if b & hand]
+                masks = [m | b for m in masks for b in choices]
+            self._nbc = tuple(sorted(masks, key=mask_order_key))
+            self._nbc_monomials = tuple(self.monomial_of(m) for m in self._nbc)
+        return self._nbc
+
     def nbc_basis(
         self, degree: int | None = None, loops: int | None = None
     ) -> list[Monomial]:
         """Products of at most one generator per hand, optionally filtered by
         total degree and by loop degree."""
-        hands = []
-        for i in range(1, self.rank + 1):
-            hands.append([None] + [g for g in self.gens if gen_hand(g) == i])
-        out = []
-        for choice in itertools.product(*hands):
-            gens = [g for g in choice if g is not None]
-            if degree is not None and len(gens) != degree:
-                continue
-            if loops is not None and sum(1 for g in gens if len(g) == 1) != loops:
-                continue
-            out.append(monomial_sort(gens))
-        out.sort(key=monomial_order_key)
-        return out
+        masks = self.nbc_masks()
+        if degree is None and loops is None:
+            return list(self._nbc_monomials)
+        loop_mask = (1 << self.rank) - 1  # loops come first in rank order
+        return [
+            t
+            for m, t in zip(masks, self._nbc_monomials)
+            if (degree is None or m.bit_count() == degree)
+            and (loops is None or (m & loop_mask).bit_count() == loops)
+        ]
 
     # -- group action ---------------------------------------------------------
 
@@ -636,17 +772,21 @@ class PresentedRing:
     def act(self, sigma: SignedPerm, x: RingElement) -> RingElement:
         if x.ring is not self:
             raise ValueError("element does not belong to this ring")
-        images: dict[Gen, dict[Monomial, int]] = {}
-        out: dict[Monomial, int] = {}
-        for m, c in x.terms.items():
-            term = {(): c}
-            for g in m:
-                img = images.get(g)
+        images: dict[Mask, dict[Mask, int]] = {}
+        out: dict[Mask, int] = {}
+        for m, c in x.masks.items():
+            term = {0: c}
+            rest = m
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                img = images.get(b)
                 if img is None:
-                    img = images[g] = self.act_on_generator(sigma, g).terms
+                    g = self._bit_gens[b.bit_length() - 1]
+                    img = images[b] = self.act_on_generator(sigma, g).masks
                 term = self.product(term, img)
             out = poly_add(out, term)
-        return RingElement(self, out)
+        return RingElement._of(self, out)
 
 
 def poly_add(p, q):

@@ -153,15 +153,44 @@ def test_poisoned_rewrite_table_is_recertified(tmp_path, monkeypatch):
     entry = tmp_path / "rewrite-v1-Z3-n3.json"
     good = entry.read_text()
     table = json.loads(good)
-    term = table["rules"]["z2*z12+"][0]  # the pair order straightening looks up
-    num, den = term["coeff"].split("/")
-    term["coeff"] = f"{-int(num)}/{den}"
+    for key in ("z2*z12+", "z12+*z2"):  # both orders, so they still agree
+        term = table["rules"][key][0]
+        num, den = term["coeff"].split("/")
+        term["coeff"] = f"{-int(num)}/{den}"
     entry.write_text(json.dumps(table))
     stored = _counting_stores(monkeypatch)
     loaded = PresentedRing("Z3", 3)
     assert stored == ["rewrite-v1-Z3-n3"]
     monkeypatch.delenv(cache.ENV_VAR)
     assert loaded.rules == PresentedRing("Z3", 3).rules
+    assert json.loads(entry.read_text()) == json.loads(good)
+
+
+def test_rewrite_table_with_disagreeing_pair_orders_is_rebuilt(tmp_path, monkeypatch):
+    # the table stores each rule under both generator orders; a file whose
+    # two copies differ is rejected before any relation is reduced
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    from hyperoct.rings import PresentedRing
+
+    PresentedRing("Z3", 3)
+    entry = tmp_path / "rewrite-v1-Z3-n3.json"
+    good = entry.read_text()
+    table = json.loads(good)
+    term = table["rules"]["z12+*z2"][0]
+    num, den = term["coeff"].split("/")
+    term["coeff"] = f"{-int(num)}/{den}"
+    entry.write_text(json.dumps(table))
+    stored = _counting_stores(monkeypatch)
+    verified = []
+    honest = PresentedRing.verify_relations
+
+    def verify_relations(self):
+        verified.append(self.space)
+        return honest(self)
+
+    monkeypatch.setattr(PresentedRing, "verify_relations", verify_relations)
+    PresentedRing("Z3", 3)
+    assert stored == ["rewrite-v1-Z3-n3"] and verified == []
     assert json.loads(entry.read_text()) == json.loads(good)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperoct import linalg
@@ -94,3 +95,32 @@ def test_mod2_deficient_full_rank_matrix_reaches_the_fallback(monkeypatch):
     monkeypatch.setattr(linalg, "rank_mod_p", rank_mod_p)
     assert linalg.full_rank_certificate(m) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_exact_widens_from_int64_when_minors_pass_the_bound(seed, monkeypatch):
+    # entries below 2^31 start the elimination on int64; the 2x2 minors
+    # formed by the first pivot step are near 2^40, so the matrix must
+    # widen to Python integers before the second step
+    rng = random.Random(300 + seed)
+    m = [[rng.randint(-(2**20), 2**20) for _ in range(7)] for _ in range(6)]
+    m.append([2 * a - 3 * b + c for a, b, c in zip(m[0], m[1], m[2])])
+    assert max(abs(x) for row in m for x in row) < linalg._INT64_SAFE
+    widened = []
+    honest = linalg._widened
+
+    def spy(matrix):
+        widened.append((matrix.dtype, int(abs(matrix).max())))
+        return honest(matrix)
+
+    monkeypatch.setattr(linalg, "_widened", spy)
+    assert linalg.rank_exact(m) == _rank_by_fraction_elimination(m) == 6
+    assert len(widened) == 1
+    dtype, largest = widened[0]
+    assert dtype == np.int64 and largest >= linalg._INT64_SAFE
+
+
+def test_rank_exact_starts_on_python_integers_past_the_bound(monkeypatch):
+    m = [[2**40, 1], [1, 2**40], [2**40 + 1, 2**40 + 1]]
+    monkeypatch.setattr(linalg, "_widened", None)  # never called
+    assert linalg.rank_exact(m) == _rank_by_fraction_elimination(m) == 2

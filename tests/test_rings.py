@@ -23,8 +23,11 @@ from hyperoct.ringreps import (
 from hyperoct.rings import (
     SPACES,
     RingElement,
+    gen_hand,
     get_ring,
     hilbert_coefficients,
+    monomial_order_key,
+    monomial_sort,
     type_of,
 )
 
@@ -80,6 +83,29 @@ def test_nbc_basis_rank_two_matches_published_lists():
     }
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_nbc_basis_is_built_once_and_returned_as_a_new_list(space):
+    ring = get_ring(space, 3)
+    basis = ring.nbc_basis()
+    assert basis == sorted(basis, key=monomial_order_key)
+    assert len(set(basis)) == len(basis) == group_order(3)
+    assert all(
+        len({gen_hand(g) for g in m}) == len(m) == len(set(m)) for m in basis
+    )
+    for degree in (None, 0, 1, 2, 3):
+        for loops in (None, 0, 1, 2):
+            want = [
+                m
+                for m in basis
+                if (degree is None or len(m) == degree)
+                and (loops is None or sum(len(g) == 1 for g in m) == loops)
+            ]
+            assert ring.nbc_basis(degree=degree, loops=loops) == want
+    basis.clear()  # callers may mutate what they get
+    assert len(ring.nbc_basis()) == group_order(3)
+    assert [ring.monomial_of(k) for k in ring.nbc_masks()] == ring.nbc_basis()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_basis_counts_match_hilbert_series(n):
     coeffs = hilbert_coefficients(n)
@@ -105,6 +131,64 @@ def test_defining_relations_reduce_to_zero(space, n):
 def test_rule_tables_are_integral(space, rank):
     rules = get_ring(space, rank).rules
     assert all(type(c) is int for rhs in rules.values() for c in rhs.values())
+
+
+def _reference_square_free(ring, gens):
+    """Collapse squares of a tuple monomial; None means it vanished (graded)."""
+    distinct = set(gens)
+    if ring.graded and len(distinct) != len(gens):
+        return None
+    return monomial_sort(distinct)
+
+
+def _reference_collision(ring, m):
+    """The pair the tuple scan rewrites first: the first generator that has
+    a same-hand partner with a rule, and its first such partner."""
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            if gen_hand(m[j]) == gen_hand(m[i]) and (m[i], m[j]) in ring.rules:
+                return m[i], m[j]
+    return None
+
+
+def _reference_normal_form(ring, m, memo):
+    """Straightening on sorted generator tuples and the ``rules`` view."""
+    if m in memo:
+        return memo[m]
+    hit = _reference_collision(ring, m)
+    if hit is None:
+        out = {m: 1}
+    else:
+        rest = tuple(g for g in m if g not in hit)
+        out = {}
+        for sub, c in ring.rules[hit].items():
+            merged = _reference_square_free(ring, rest + sub)
+            if merged is None:
+                continue
+            for m2, c2 in _reference_normal_form(ring, merged, memo).items():
+                out[m2] = out.get(m2, 0) + c * c2
+        out = {mm: cc for mm, cc in out.items() if cc}
+    memo[m] = out
+    return out
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_mask_straightening_matches_tuple_reference(space, rank):
+    ring = get_ring(space, rank)
+    basis = ring.nbc_basis()
+    memo = {}
+    for m1 in basis:
+        for m2 in basis:
+            merged = _reference_square_free(ring, m1 + m2)
+            want = {} if merged is None else _reference_normal_form(ring, merged, memo)
+            assert ring.reduce_raw({m1 + m2: 1}).terms == want, (m1, m2)
+            assert (ring.monomial(m1) * ring.monomial(m2)).terms == want, (m1, m2)
+    # the mask engine rewrites the same pair first at every monomial visited
+    for m in memo:
+        hit = _reference_collision(ring, m)
+        got = ring._find_collision(ring.mask_of(m))
+        assert (got and ring.monomial_of(got[0])) == (hit and tuple(hit)), m
 
 
 def test_ring_elements_reject_non_integral_coefficients():
