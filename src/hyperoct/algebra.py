@@ -27,7 +27,7 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 from . import kernels
-from .characters import ClassFunction
+from .characters import ClassFunction, divide_exactly
 from .groupdata import class_sweep, get_group
 from .linalg import rank_exact
 from .permutations import (
@@ -225,11 +225,18 @@ def _shape_index(n: int) -> dict[SignedComposition, tuple[SignedPerm, ...]]:
     return {a: tuple(gs) for a, gs in buckets.items()}
 
 
+def _indicator(n: int, members) -> AlgebraElement:
+    """The sum of the given signed permutations, each with coefficient 1."""
+    group = get_group(n)
+    num = np.zeros(group.order, dtype=np.int64)
+    num[[group.index[g] for g in members]] = 1
+    return AlgebraElement._reduced(n, num, 1)
+
+
 def y_basis(alpha: SignedComposition) -> AlgebraElement:
     """Sum of all signed permutations of the given shape."""
     n = sum(abs(a) for a in alpha)
-    members = _shape_index(n).get(tuple(alpha), ())
-    return AlgebraElement(n, {g: Fraction(1) for g in members})
+    return _indicator(n, _shape_index(n).get(tuple(alpha), ()))
 
 
 def x_basis(n: int, subset) -> AlgebraElement:
@@ -237,11 +244,10 @@ def x_basis(n: int, subset) -> AlgebraElement:
     allowed = frozenset(subset)
     if not allowed <= set(range(1, n)):
         raise ValueError("subset must lie in 1..n-1")
-    coeffs = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        if descent_set(w) <= allowed:
-            coeffs[w] = Fraction(1)
-    return AlgebraElement(n, coeffs)
+    return _indicator(
+        n,
+        (w for w in itertools.permutations(range(1, n + 1)) if descent_set(w) <= allowed),
+    )
 
 
 def _relabel(w: tuple[int, ...], letters: tuple[int, ...], n: int) -> SignedPerm:
@@ -387,7 +393,8 @@ def right_ideal_character(e: AlgebraElement) -> ClassFunction:
     trace of right translation on the ideal.  Requires e idempotent.  The
     sum runs on the numerators ``e.num``, in int64 while
     max|num| * |B_n| bounds it below ``kernels.INT64_BOUND`` and on Python
-    integers past that.
+    integers past that.  The sums divided by ``e.den`` must be integers;
+    ``divide_exactly`` raises ArithmeticError naming the class otherwise.
     """
     if not e.is_idempotent():
         raise ValueError("element is not idempotent")
@@ -396,7 +403,7 @@ def right_ideal_character(e: AlgebraElement) -> ClassFunction:
     num = e.num.astype(kernels.exact_dtype(kernels.max_abs(e.num) * group.order), copy=False)
     # inv[x g_c x^-1] is the index of x g_c^-1 x^-1
     sums = num[group.inv[class_sweep(n)]].sum(axis=1)
-    return ClassFunction(n, tuple(Fraction(int(s), e.den) for s in sums))
+    return divide_exactly(n, sums.tolist(), e.den)
 
 
 def right_ideal_dimension_by_rank(e: AlgebraElement) -> int:

@@ -1,4 +1,4 @@
-"""Character theory of the hyperoctahedral group, over exact scalars.
+"""Character theory of the hyperoctahedral group, over the integers.
 
 Irreducible characters are indexed by signed partitions and built by the
 standard recipe: pull back a symmetric-group character along the
@@ -11,12 +11,17 @@ beta-sets.  Induction from explicitly enumerated subgroups is done by a
 full conjugation sweep over the ambient group (``groupdata.class_sweep``),
 which is cheap at desk scale and sidesteps fusion bookkeeping for
 irregular subgroups.  A subgroup character's root-of-unity values are
-kept as integer exponents; only the induced values, which are rational,
-become Fractions.
+kept as integer exponents.
+
+Every character of B_n is integer-valued, so a class function is a tuple
+of Python ints; the producers that divide go through ``divide_exactly``,
+which raises ArithmeticError at the first inexact quotient.  Only
+``inner_product`` returns a Fraction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +29,6 @@ from math import lcm
 
 import numpy as np
 
-from . import cache
 from .cyclotomic import power_rows
 from .groupdata import class_sweep, get_group
 from .permutations import (
@@ -35,7 +39,6 @@ from .permutations import (
     compose,
     group_order,
     perm_sign,
-    signed_partition_from_str,
     signed_partition_to_str,
     signed_partitions,
     standard_representative,
@@ -90,16 +93,16 @@ def underlying_type(lam: SignedPartition) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A function on the conjugacy classes of B_n with Fraction values."""
+    """A function on the conjugacy classes of B_n with Python int values."""
 
     n: int
-    values: tuple[Fraction, ...]  # indexed like signed_partitions(n)
+    values: tuple[int, ...]  # indexed like signed_partitions(n)
 
-    def __getitem__(self, lam: SignedPartition) -> Fraction:
-        return self.values[_class_position(self.n, lam)]
+    def __getitem__(self, lam: SignedPartition) -> int:
+        return self.values[_class_positions(self.n)[lam]]
 
     @property
-    def degree(self) -> Fraction:
+    def degree(self) -> int:
         return self[((1,) * self.n, ())]
 
     def _binop(self, other, op) -> "ClassFunction":
@@ -118,7 +121,8 @@ class ClassFunction:
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
             return self._binop(other, lambda a, b: a * b)
-        return ClassFunction(self.n, tuple(a * Fraction(other) for a in self.values))
+        k = operator.index(other)
+        return ClassFunction(self.n, tuple(a * k for a in self.values))
 
     __rmul__ = __mul__
 
@@ -131,14 +135,27 @@ def _class_positions(n: int) -> dict[SignedPartition, int]:
     return {lam: i for i, lam in enumerate(signed_partitions(n))}
 
 
-def _class_position(n: int, lam: SignedPartition) -> int:
-    return _class_positions(n)[lam]
-
-
 @lru_cache(maxsize=None)
 def _class_sizes(n: int) -> tuple[int, ...]:
     """Class sizes of B_n, indexed like signed_partitions(n)."""
     return tuple(class_size(n, lam) for lam in signed_partitions(n))
+
+
+def divide_exactly(n: int, sums, divisor) -> ClassFunction:
+    """The class function sums / divisor, for integer ``sums`` indexed like
+    signed_partitions(n) and a positive ``divisor``, one int or one per
+    class.  A quotient that is not an integer raises ArithmeticError naming
+    its class."""
+    divisors = [divisor] * len(sums) if isinstance(divisor, int) else divisor
+    values = []
+    for lam, s, d in zip(signed_partitions(n), sums, divisors):
+        q, r = divmod(s, d)
+        if r:
+            raise ArithmeticError(
+                f"value {s}/{d} at class {signed_partition_to_str(lam)} is not an integer"
+            )
+        values.append(q)
+    return ClassFunction(n, tuple(values))
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
@@ -160,28 +177,22 @@ def pullback_character(lam: tuple[int, ...], n: int) -> ClassFunction:
     """chi^{lam, empty}: the S_n character evaluated on the sign-forgotten type."""
     if sum(lam) != n:
         raise ValueError("lam must be a partition of n")
-    vals = [
-        Fraction(sn_character_value(lam, underlying_type(mu)))
-        for mu in signed_partitions(n)
-    ]
+    vals = [sn_character_value(lam, underlying_type(mu)) for mu in signed_partitions(n)]
     return ClassFunction(n, tuple(vals))
 
 
 def negative_count_sign(n: int) -> ClassFunction:
     """chi^{empty,(n)}: sign of the number of negative one-line entries."""
-    vals = []
-    for mu in signed_partitions(n):
-        rep = standard_representative(mu)
-        vals.append(Fraction((-1) ** sum(1 for x in rep if x < 0)))
+    vals = [
+        (-1) ** sum(1 for x in standard_representative(mu) if x < 0)
+        for mu in signed_partitions(n)
+    ]
     return ClassFunction(n, tuple(vals))
 
 
 def unsigned_sign_character(n: int) -> ClassFunction:
     """chi^{(1^n), empty}: sign of the sign-forgotten permutation."""
-    vals = [
-        Fraction(perm_sign(standard_representative(mu)))
-        for mu in signed_partitions(n)
-    ]
+    vals = [perm_sign(standard_representative(mu)) for mu in signed_partitions(n)]
     return ClassFunction(n, tuple(vals))
 
 
@@ -189,7 +200,7 @@ def linear_characters(n: int) -> tuple[ClassFunction, ClassFunction, ClassFuncti
     """The four one-dimensional characters, as rows:
     chi^{(n),0}, chi^{0,(n)}, chi^{(1^n),0}, chi^{0,(1^n)}.
     """
-    trivial = ClassFunction(n, (Fraction(1),) * len(signed_partitions(n)))
+    trivial = ClassFunction(n, (1,) * len(signed_partitions(n)))
     delta_t = negative_count_sign(n)
     delta_s = unsigned_sign_character(n)
     return trivial, delta_t, delta_s, delta_t * delta_s
@@ -202,26 +213,26 @@ def _fuse(a: SignedPartition, b: SignedPartition) -> SignedPartition:
 
 
 def induction_product(chi_a: ClassFunction, chi_b: ClassFunction) -> ClassFunction:
-    """Induce chi_a x chi_b from B_a x B_b to B_{a+b} via class fusion."""
+    """Induce chi_a x chi_b from B_a x B_b to B_{a+b} via class fusion:
+    the value on a class C is |B_n| / (|C| |B_a x B_b|) times the sum of
+    |D_a| |D_b| chi_a(D_a) chi_b(D_b) over the class pairs fusing into C."""
     a, b = chi_a.n, chi_b.n
     n = a + b
-    sums: dict[SignedPartition, Fraction] = {
-        lam: Fraction(0) for lam in signed_partitions(n)
-    }
-    for da in signed_partitions(a):
-        wa = class_size(a, da) * chi_a[da]
-        if not wa:
-            continue
-        for db in signed_partitions(b):
-            wb = class_size(b, db) * chi_b[db]
-            if wb:
-                sums[_fuse(da, db)] += wa * wb
+    positions = _class_positions(n)
+    sums = [0] * len(positions)
+    for da, wa in zip(signed_partitions(a), _weighted(chi_a)):
+        if wa:
+            for db, wb in zip(signed_partitions(b), _weighted(chi_b)):
+                sums[positions[_fuse(da, db)]] += wa * wb
     order_n, order_h = group_order(n), group_order(a) * group_order(b)
-    vals = []
-    for lam in signed_partitions(n):
-        v = sums[lam] * Fraction(order_n, class_size(n, lam) * order_h)
-        vals.append(v)
-    return ClassFunction(n, tuple(vals))
+    return divide_exactly(
+        n, [s * order_n for s in sums], [size * order_h for size in _class_sizes(n)]
+    )
+
+
+def _weighted(chi: ClassFunction) -> list[int]:
+    """|C| chi(C) for every class C."""
+    return [size * v for size, v in zip(_class_sizes(chi.n), chi.values)]
 
 
 def bn_irreducible(lam: SignedPartition) -> ClassFunction:
@@ -237,47 +248,10 @@ def bn_irreducible(lam: SignedPartition) -> ClassFunction:
     )
 
 
-_CACHE_SCHEMA = 1
-
-
 @lru_cache(maxsize=None)
 def character_table(n: int) -> dict[SignedPartition, ClassFunction]:
-    """All irreducible characters of B_n, keyed by signed partition.
-
-    Backed by the persistent JSON cache when HYPEROCT_CACHE is set; corrupt
-    or mismatched entries are recomputed and rewritten.
-    """
-    key = f"chartable-v{_CACHE_SCHEMA}-n{n}"
-    classes = signed_partitions(n)
-    stored = cache.load(key)
-    if stored is not None:
-        try:
-            if stored["classes"] != [signed_partition_to_str(c) for c in classes]:
-                raise ValueError("class labels changed")
-            table = {}
-            for label, row in stored["rows"].items():
-                lam = signed_partition_from_str(label)
-                vals = tuple(Fraction(v) for v in row)
-                if len(vals) != len(classes):
-                    raise ValueError("row length mismatch")
-                table[lam] = ClassFunction(n, vals)
-            if set(table) != set(classes):
-                raise ValueError("irrep labels changed")
-            return table
-        except (KeyError, ValueError, TypeError, ZeroDivisionError):
-            pass
-    table = {lam: bn_irreducible(lam) for lam in classes}
-    cache.store(
-        key,
-        {
-            "classes": [signed_partition_to_str(c) for c in classes],
-            "rows": {
-                signed_partition_to_str(lam): [str(v) for v in chi.values]
-                for lam, chi in table.items()
-            },
-        },
-    )
-    return table
+    """All irreducible characters of B_n, keyed by signed partition."""
+    return {lam: bn_irreducible(lam) for lam in signed_partitions(n)}
 
 
 def decompose(chi: ClassFunction) -> dict[SignedPartition, int]:
@@ -298,8 +272,8 @@ def decompose(chi: ClassFunction) -> dict[SignedPartition, int]:
 
 
 def regular_character(n: int) -> ClassFunction:
-    vals = [Fraction(0)] * len(signed_partitions(n))
-    vals[_class_position(n, ((1,) * n, ()))] = Fraction(group_order(n))
+    vals = [0] * len(signed_partitions(n))
+    vals[_class_positions(n)[((1,) * n, ())]] = group_order(n)
     return ClassFunction(n, tuple(vals))
 
 
@@ -360,8 +334,9 @@ def induce_character(
     chi_up(g) = (1/|H|) sum over x in B_n with x g x^{-1} in H of
     chi(x g x^{-1}).  The sweep counts, per class, how often each exponent
     is hit (code ``ambient`` off H); the counts times ``power_rows(ambient)``
-    are the sum in the power basis of Q(w).  The sum must be rational, so a
-    nonzero non-constant coordinate raises ArithmeticError.
+    are the sum in the power basis of Q(w).  The sum must be rational, and
+    its quotient by |H| an integer; otherwise ArithmeticError names the
+    class.
     """
     ambient, exponents = character
     group = get_group(n)
@@ -371,9 +346,13 @@ def induce_character(
         [np.bincount(codes[row], minlength=ambient + 1) for row in class_sweep(n)]
     )
     sums = counts[:, :ambient] @ power_rows(ambient)
-    if sums[:, 1:].any():
-        raise ArithmeticError("induced character has an irrational value")
-    return ClassFunction(n, tuple(Fraction(int(r), len(exponents)) for r in sums[:, 0]))
+    irrational = np.flatnonzero(sums[:, 1:].any(axis=1))
+    if len(irrational):
+        lam = signed_partitions(n)[irrational[0]]
+        raise ArithmeticError(
+            f"induced character has an irrational value at class {signed_partition_to_str(lam)}"
+        )
+    return divide_exactly(n, sums[:, 0].tolist(), len(exponents))
 
 
 def coxeter_element(n: int) -> SignedPerm:
@@ -398,25 +377,11 @@ def coset_permutation_character(n: int, subgroup) -> ClassFunction:
     the induction-formula route, so the two can cross-check each other).
     """
     group = get_group(n)
-    h_idx = sorted(group.index[g] for g in subgroup)
-    coset_of = [-1] * group.order
-    n_cosets = 0
-    for x in range(group.order):
-        if coset_of[x] >= 0:
-            continue
-        for h in h_idx:
-            coset_of[int(group.table[x, h])] = n_cosets
-        n_cosets += 1
-    reps = {}
-    for x in range(group.order):
-        reps.setdefault(coset_of[x], x)
+    # the least index in x H labels the coset x H, and lies in it
+    coset_of = group.table[:, [group.index[h] for h in subgroup]].min(axis=1)
+    reps = np.unique(coset_of)
     vals = []
     for lam in signed_partitions(n):
-        gi = group.index[standard_representative(lam)]
-        fixed = sum(
-            1
-            for c, x in reps.items()
-            if coset_of[int(group.table[gi, x])] == c
-        )
-        vals.append(Fraction(fixed))
+        moved = group.table[group.index[standard_representative(lam)], reps]
+        vals.append(int(np.count_nonzero(coset_of[moved] == reps)))
     return ClassFunction(n, tuple(vals))

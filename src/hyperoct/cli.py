@@ -5,9 +5,10 @@
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error
 (unknown suite, n outside the suite's documented bound, or n < 1 for
 ``all``), 3 internal
-error (an exception escaped the suite; the traceback goes to stderr).  Set
-HYPEROCT_CACHE to a directory to persist character tables and rewrite
-tables between runs; reports are deterministic apart from elapsed_ms.
+error (an exception escaped the suite; the traceback goes to stderr).  A
+character that cannot be computed exactly fails its check (exit 1).  Set
+HYPEROCT_CACHE to a directory to persist the rings' rewrite tables between
+runs; reports are deterministic apart from elapsed_ms.
 """
 
 from __future__ import annotations

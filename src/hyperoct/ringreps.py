@@ -17,7 +17,6 @@ of m is summed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .characters import ClassFunction
@@ -79,10 +78,7 @@ def _basis_buckets(space: str, rank: int, keyfn):
 def _bucket_character(space: str, rank: int, positions) -> ClassFunction:
     diag = diagonal_coefficients(space, rank)
     n_act = acting_rank(space, rank)
-    vals = []
-    for lam in signed_partitions(n_act):
-        row = diag[lam]
-        vals.append(Fraction(sum(row[p] for p in positions)))
+    vals = [sum(diag[lam][p] for p in positions) for lam in signed_partitions(n_act)]
     return ClassFunction(n_act, tuple(vals))
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -12,6 +13,7 @@ from hyperoct.characters import (
     coxeter_element,
     cyclic_subgroup,
     decompose,
+    divide_exactly,
     induce_character,
     induction_product,
     inner_product,
@@ -32,6 +34,7 @@ from hyperoct.permutations import (
     inverse,
     longest_element,
     partitions,
+    signed_partition_to_str,
     signed_partitions,
     standard_representative,
 )
@@ -124,8 +127,8 @@ def test_linear_characters_on_rank_two_classes():
 
 def test_rank_one_table():
     table = character_table(1)
-    assert table[((1,), ())].values == (Fraction(1), Fraction(1))
-    assert table[((), (1,))].values == (Fraction(1), Fraction(-1))
+    assert table[((1,), ())].values == (1, 1)
+    assert table[((), (1,))].values == (1, -1)
 
 
 def test_rank_two_table_matches_published_values():
@@ -139,7 +142,7 @@ def test_rank_two_table_matches_published_values():
     order = [((1, 1), ()), ((2,), ()), ((1,), (1,)), ((), (2,)), ((), (1, 1))]
     table = character_table(2)
     for lam, row in expected.items():
-        assert tuple(int(table[lam][c]) for c in order) == row
+        assert tuple(table[lam][c] for c in order) == row
 
 
 def test_induction_product_builds_the_mixed_character():
@@ -334,10 +337,27 @@ def test_decompose_parabolic_permutation_character():
 
 
 def test_decompose_rejects_non_character():
-    n = 1
-    bad = ClassFunction(n, (Fraction(1, 2), Fraction(0)))
+    # integer values, but the multiplicity of the trivial character is 1/2
+    bad = ClassFunction(1, (1, 0))
     with pytest.raises(ValueError):
         decompose(bad)
+
+
+def test_scalar_multiple_takes_only_integers():
+    chi = character_table(2)[((1,), (1,))]
+    assert (3 * chi).values == tuple(3 * v for v in chi.values)
+    with pytest.raises(TypeError):
+        chi * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        chi * 0.5
+
+
+def test_divide_exactly_names_the_first_inexact_class():
+    classes = signed_partitions(2)
+    assert divide_exactly(2, [4, -2, 0, 6, 2], 2).values == (2, -1, 0, 3, 1)
+    assert divide_exactly(2, [4, 3, 0, 6, 2], [4, 3, 1, 2, 1]).values == (1, 1, 0, 3, 2)
+    with pytest.raises(ArithmeticError, match=re.escape(signed_partition_to_str(classes[1]))):
+        divide_exactly(2, [4, 3, 1, 6, 2], 2)
 
 
 def test_coset_character_against_induction_formula():
@@ -381,3 +401,28 @@ def test_power_rows_reduce_modulo_cyclotomic_polynomial(m):
             for i, p in enumerate(phi[:-1]):
                 diff[len(diff) - len(phi) + 1 + i] -= lead * p
         assert not any(diff)
+
+
+# ---------------------------------------------------------------------------
+# value types
+
+
+def _assert_int_valued(chi):
+    assert all(type(v) is int for v in chi.values), chi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_character_value_is_a_python_int(n):
+    from hyperoct.algebra import g_k, right_ideal_character, vazirani_idempotent
+    from hyperoct.ringreps import graded_character
+
+    for chi in character_table(n).values():
+        _assert_int_valued(chi)
+    for lam in signed_partitions(n):
+        _assert_int_valued(right_ideal_character(vazirani_idempotent(lam)))
+        _assert_int_valued(induce_character(rho_character(lam), n))
+    _assert_int_valued(right_ideal_character(g_k(n, n)))
+    for space in ("Z3", "Z1"):
+        for chi in graded_character(n, space):
+            _assert_int_valued(chi)
+    _assert_int_valued(coset_permutation_character(n, cyclic_subgroup(coxeter_element(n))))

@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hyperoct
 from hyperoct import cache
 from hyperoct.cli import main
+from hyperoct.permutations import signed_partition_to_str
 from hyperoct.suites import SUITE_BOUNDS, SuiteUsageError, run_suite
+
+GOLDEN_ALL_N4 = Path(__file__).parent / "data" / "verify_all_n4.json"
 
 
 def _strip_elapsed(report_json):
@@ -75,30 +79,102 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert "AssertionError: evaluation matrix rank" in capsys.readouterr().err
 
 
+def test_verify_all_report_matches_golden_bytes():
+    # every id, anchor, status and witness of `verify all --n 4`, byte for
+    # byte; only elapsed_ms may differ between runs
+    obj = _strip_elapsed(run_suite("all", 4).to_json())
+    assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == GOLDEN_ALL_N4.read_text()
+
+
 def test_reports_deterministic_with_cold_and_warm_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    from hyperoct import characters
+    from hyperoct import rings
 
-    characters.character_table.cache_clear()
-    cold = run_suite("characters", 3).to_json()
-    characters.character_table.cache_clear()
-    assert (tmp_path / "chartable-v1-n3.json").exists()
-    warm = run_suite("characters", 3).to_json()
+    rings.get_ring.cache_clear()
+    cold = run_suite("hilbert", 3).to_json()
+    assert (tmp_path / "rewrite-v1-Z3-n3.json").exists()
+    rings.get_ring.cache_clear()
+    stored = _counting_stores(monkeypatch)
+    warm = run_suite("hilbert", 3).to_json()
+    assert stored == []  # every ring of the warm run loaded from the cache
     assert _strip_elapsed(cold) == _strip_elapsed(warm)
-    characters.character_table.cache_clear()
+    rings.get_ring.cache_clear()
 
 
 def test_poisoned_cache_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    from hyperoct import characters
+    from hyperoct import rings
 
-    entry = tmp_path / "chartable-v1-n2.json"
+    entry = tmp_path / "rewrite-v1-Z3-n2.json"
     entry.write_text("{ not json }")
-    characters.character_table.cache_clear()
-    report = run_suite("characters", 2)
+    rings.get_ring.cache_clear()
+    report = run_suite("hilbert", 2)
     assert report.passed
     json.loads(entry.read_text())  # rebuilt and valid again
+    rings.get_ring.cache_clear()
+
+
+def _json_report(capsys) -> dict:
+    return json.loads(capsys.readouterr().out)
+
+
+def test_inexact_induction_product_fails_integrality(monkeypatch, capsys):
+    # the identity class of B_2 given size 3 instead of 1 makes the
+    # induction product building chi^(1|1) divide 8 by 12 there; the table
+    # is never built, and the suite records that as a failed check instead
+    # of an internal error
+    from hyperoct import characters
+
+    honest = characters._class_sizes
+    skewed_class = ((1, 1), ())
+    position = characters._class_positions(2)[skewed_class]
+
+    def skewed(n):
+        sizes = honest(n)
+        if n != 2:
+            return sizes
+        return sizes[:position] + (sizes[position] + 2,) + sizes[position + 1 :]
+
+    monkeypatch.setattr(characters, "_class_sizes", skewed)
     characters.character_table.cache_clear()
+    try:
+        code = main(["verify", "characters", "--n", "2", "--format", "json"])
+    finally:
+        characters.character_table.cache_clear()
+    assert code == 1
+    checks = {c["id"]: c for c in _json_report(capsys)["checks"]}
+    assert checks["integrality"]["status"] == "fail"
+    assert signed_partition_to_str(skewed_class) in checks["integrality"]["witness"]
+
+
+@pytest.mark.parametrize(
+    "suite, check_id",
+    [
+        ("main-iso", "partition-idempotent-ideals-match-type-pieces"),
+        ("gn1", "top-negative-type-character"),
+    ],
+)
+def test_irrational_induced_value_fails_the_check(monkeypatch, capsys, suite, check_id):
+    # on the Coxeter cyclic group {1, c, c^2, c^3} of B_2 the exponent 1 on
+    # c alone is no character: its induced value on the class of c is
+    # irrational.  Nothing here is lru_cached, so no cache is poisoned.
+    from hyperoct import characters, suites
+
+    honest = suites.rho_character
+    cox = characters.coxeter_element(2)
+
+    def broken(lam):
+        if lam != ((), (2,)):
+            return honest(lam)
+        exponents = {g: 0 for g in characters.cyclic_subgroup(cox)}
+        exponents[cox] = 1
+        return 4, exponents
+
+    monkeypatch.setattr(suites, "rho_character", broken)
+    assert main(["verify", suite, "--n", "2", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in _json_report(capsys)["checks"]}
+    assert checks[check_id]["status"] == "fail"
+    assert "irrational value at class" in checks[check_id]["witness"]
 
 
 def test_unwritable_cache_proceeds_with_warning(tmp_path, monkeypatch, capsys):
@@ -207,3 +283,36 @@ def test_all_suite_clamps_to_bounds():
     names = {c.id.split("/")[0] for c in report.checks}
     assert names == set(SUITE_BOUNDS)
     assert report.passed
+
+
+def test_character_suite_names_the_first_failing_pairs(monkeypatch):
+    # one wrong entry of the B_2 table breaks both orthogonality relations;
+    # the matrix checks name the same first pairs, in row-major order, as
+    # the Fraction inner products and column sums do
+    from hyperoct import suites
+    from hyperoct.characters import ClassFunction, character_table, inner_product
+    from hyperoct.permutations import centralizer_order, signed_partitions
+
+    n, lam = 2, ((1,), (1,))
+    classes = signed_partitions(n)
+    table = dict(character_table(n))
+    values = list(table[lam].values)
+    values[classes.index(((1,), (1,)))] += 1
+    table[lam] = ClassFunction(n, tuple(values))
+    monkeypatch.setattr(suites, "character_table", lambda k: table)
+    checks = {c.id: c for c in run_suite("characters", n).checks}
+    lams = list(table)
+    row = next(
+        (a, b) for a in lams for b in lams if inner_product(table[a], table[b]) != (a == b)
+    )
+    col = next(
+        (c, d)
+        for c in classes
+        for d in classes
+        if sum(table[l][c] * table[l][d] for l in lams)
+        != (centralizer_order(c) if c == d else 0)
+    )
+    assert checks["row-orthonormality"].status == "fail"
+    assert checks["row-orthonormality"].witness == f"failure at {row}"
+    assert checks["column-orthogonality"].status == "fail"
+    assert checks["column-orthogonality"].witness == f"failure at {col}"
