@@ -177,6 +177,32 @@ def test_irrational_induced_value_fails_the_check(monkeypatch, capsys, suite, ch
     assert "irrational value at class" in checks[check_id]["witness"]
 
 
+def test_non_character_graded_piece_fails_the_decomposition(monkeypatch, capsys):
+    # one more on the Z3 degree-0 character of B_2 at the class (2|) gives
+    # it the non-integral multiplicity 5/4 at the trivial character;
+    # decompose rejects it, and main-iso records the failed check with
+    # that reason instead of exiting on an internal error
+    from hyperoct import characters, suites
+
+    honest = suites.graded_character
+    position = characters._class_positions(2)[((2,), ())]
+
+    def skewed(n, space):
+        pieces = honest(n, space)
+        if (n, space) != (2, "Z3"):
+            return pieces
+        values = list(pieces[0].values)
+        values[position] += 1
+        return [characters.ClassFunction(2, tuple(values))] + pieces[1:]
+
+    monkeypatch.setattr(suites, "graded_character", skewed)
+    assert main(["verify", "main-iso", "--n", "2", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in _json_report(capsys)["checks"]}
+    check = checks["rank-2-graded-decomposition"]
+    assert check["status"] == "fail"
+    assert "non-integral or negative multiplicity 5/4" in check["witness"]
+
+
 def test_unwritable_cache_proceeds_with_warning(tmp_path, monkeypatch, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
