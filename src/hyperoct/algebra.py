@@ -6,7 +6,7 @@ denominator, kept reduced (gcd(num, den) = 1) so that equality and
 hashing are exact.  Sums, scalar multiples and products are integer array
 operations followed by one gcd; products go through the convolution
 kernel (hyperoct.kernels).  ``coeffs`` gives the {signed permutation:
-Fraction} view for reading and serialization.
+Fraction} view for reading.
 
 The idempotents built here live in the Mantaci-Reutenauer subalgebra: the
 shape-sum basis, the classical descent-set sums of the symmetric group,
@@ -19,7 +19,6 @@ family to the classical Eulerian idempotents of the symmetric group.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
@@ -36,15 +35,12 @@ from .permutations import (
     SignedPerm,
     composition_blocks,
     composition_partial_sums,
-    composition_sort,
     descent_set,
     forget_signs,
     identity,
     mr_shape,
     partitions,
-    perm_from_str,
     perm_to_str,
-    signed_compositions,
     signed_partitions,
 )
 
@@ -197,21 +193,6 @@ class AlgebraElement:
         ]
         return " + ".join(parts)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        terms = {
-            perm_to_str(g): f"{c.numerator}/{c.denominator}"
-            for g, c in sorted(self.coeffs.items())
-        }
-        return json.dumps({"n": self.n, "terms": terms}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "AlgebraElement":
-        obj = json.loads(text)
-        coeffs = {perm_from_str(k): Fraction(v) for k, v in obj["terms"].items()}
-        return AlgebraElement(obj["n"], coeffs)
-
 
 # ---------------------------------------------------------------------------
 # descent-type basis elements
@@ -309,13 +290,11 @@ def i_p(p: SignedComposition) -> AlgebraElement:
 def vazirani_idempotent(lam: SignedPartition) -> AlgebraElement:
     """Orthogonal idempotent attached to a signed partition: the average of
     the composition chains over all reorderings of the parts."""
-    n = sum(lam[0]) + sum(lam[1])
-    parts = len(lam[0]) + len(lam[1])
-    total = AlgebraElement.zero(n)
-    for p in signed_compositions(n):
-        if composition_sort(p) == lam:
-            total = total + i_p(p)
-    return Fraction(1, factorial(parts)) * total
+    parts = lam[0] + tuple(-x for x in lam[1])
+    total = AlgebraElement.zero(sum(lam[0]) + sum(lam[1]))
+    for p in distinct_reorderings(parts):
+        total = total + i_p(p)
+    return Fraction(1, factorial(len(parts))) * total
 
 
 def g_k(n: int, k: int) -> AlgebraElement:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import full_rank_certificate
 from .permutations import SignedPerm, apply
-from .rings import PresentedRing, RingElement
+from .rings import RingElement, get_ring
 
 Chamber = tuple[int, ...]  # encoded letters, length n, distinct moduli in 2..n+1
 
@@ -173,7 +173,7 @@ def generator_columns(n: int, gens) -> dict:
     return out
 
 
-def evaluation_matrix(n: int, ring: PresentedRing | None = None):
+def evaluation_matrix(n: int):
     """0/1 matrix of all nbc monomials evaluated on all chambers, with rank.
 
     Rows are chambers, columns nbc monomials of the lifted d = 1 space in
@@ -181,9 +181,7 @@ def evaluation_matrix(n: int, ring: PresentedRing | None = None):
     are a basis of the function ring.  The rank is returned, not checked.
     A monomial's column is the AND of its generators' columns.
     """
-    from .rings import get_ring
-
-    ring = ring or get_ring("Y1", n)
+    ring = get_ring("Y1", n)
     basis = ring.nbc_basis()
     columns = generator_columns(n, ring.gens)
     mat = np.ones((len(all_chambers(n)), len(basis)), dtype=np.int64)

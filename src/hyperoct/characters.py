@@ -38,7 +38,6 @@ from .permutations import (
     class_size,
     compose,
     group_order,
-    perm_sign,
     signed_partition_to_str,
     signed_partitions,
     standard_representative,
@@ -188,22 +187,6 @@ def negative_count_sign(n: int) -> ClassFunction:
         for mu in signed_partitions(n)
     ]
     return ClassFunction(n, tuple(vals))
-
-
-def unsigned_sign_character(n: int) -> ClassFunction:
-    """chi^{(1^n), empty}: sign of the sign-forgotten permutation."""
-    vals = [perm_sign(standard_representative(mu)) for mu in signed_partitions(n)]
-    return ClassFunction(n, tuple(vals))
-
-
-def linear_characters(n: int) -> tuple[ClassFunction, ClassFunction, ClassFunction, ClassFunction]:
-    """The four one-dimensional characters, as rows:
-    chi^{(n),0}, chi^{0,(n)}, chi^{(1^n),0}, chi^{0,(1^n)}.
-    """
-    trivial = ClassFunction(n, (1,) * len(signed_partitions(n)))
-    delta_t = negative_count_sign(n)
-    delta_s = unsigned_sign_character(n)
-    return trivial, delta_t, delta_s, delta_t * delta_s
 
 
 def _fuse(a: SignedPartition, b: SignedPartition) -> SignedPartition:

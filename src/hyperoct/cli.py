@@ -3,12 +3,13 @@
     hyperoct verify <suite> --n <k> [--format json|text] [--out FILE]
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error
-(unknown suite, n outside the suite's documented bound, or n < 1 for
-``all``), 3 internal
-error (an exception escaped the suite; the traceback goes to stderr).  A
-character that cannot be computed exactly fails its check (exit 1).  Set
-HYPEROCT_CACHE to a directory to persist the rings' rewrite tables between
-runs; reports are deterministic apart from elapsed_ms.
+(unknown suite, n outside the suite's documented bound, n < 1 for
+``all``, or an ``--out`` FILE that cannot be written; the report is still
+printed to stdout first), 3 internal error (an exception escaped the
+suite; the traceback goes to stderr).  A character that cannot be
+computed exactly fails its check (exit 1).  Set HYPEROCT_CACHE to a
+directory to persist the rings' rewrite tables between runs; reports are
+deterministic apart from elapsed_ms.
 """
 
 from __future__ import annotations
@@ -53,10 +54,14 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 3
     rendered = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
     print(rendered)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            print(f"hyperoct: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -93,41 +93,24 @@ class EquivariantRelationSet:
         return len(self.relations)
 
 
-def _seed_relations(n: int) -> list[FreePoly]:
-    rels: list[FreePoly] = []
-    gens = [(i,) for i in range(1, n + 1)] + [
-        (i, j, s) for j in range(2, n + 1) for i in range(1, j) for s in (1, -1)
-    ]
-    for g in gens:
-        rels.append(_fmul(_gen(g), _u_shift(g)))
-    for i, j in itertools.combinations(range(1, n + 1), 2):
+def _triple_relation(x: Gen, y: Gen, z: Gen) -> FreePoly:
+    """u^{-1}( x y (z - u) - (x - u)(y - u) z ), the shape of R1-R3."""
+    return _divide_u(
+        poly_sub(
+            _fmul(_fmul(_gen(x), _gen(y)), _u_shift(z)),
+            _fmul(_fmul(_u_shift(x), _u_shift(y)), _gen(z)),
+        )
+    )
+
+
+def _seed_relations(ring: PresentedRing) -> list[FreePoly]:
+    rels = [_fmul(_gen(g), _u_shift(g)) for g in ring.gens]
+    for i, j in itertools.combinations(range(1, ring.rank + 1), 2):
         zp, zm = (i, j, 1), (i, j, -1)
-        rels.append(
-            _divide_u(
-                poly_sub(
-                    _fmul(_fmul(_gen(zp), _gen((i,))), _u_shift((j,))),
-                    _fmul(_fmul(_u_shift(zp), _u_shift((i,))), _gen((j,))),
-                )
-            )
-        )
-        rels.append(
-            _divide_u(
-                poly_sub(
-                    _fmul(_fmul(_gen((j,)), _gen(zm)), _u_shift(zp)),
-                    _fmul(_fmul(_u_shift((j,)), _u_shift(zm)), _gen(zp)),
-                )
-            )
-        )
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        zij, zjk, zik = (i, j, 1), (j, k, 1), (i, k, 1)
-        rels.append(
-            _divide_u(
-                poly_sub(
-                    _fmul(_fmul(_gen(zij), _gen(zjk)), _u_shift(zik)),
-                    _fmul(_fmul(_u_shift(zij), _u_shift(zjk)), _gen(zik)),
-                )
-            )
-        )
+        rels.append(_triple_relation(zp, (i,), (j,)))
+        rels.append(_triple_relation((j,), zm, zp))
+    for i, j, k in itertools.combinations(range(1, ring.rank + 1), 3):
+        rels.append(_triple_relation((i, j, 1), (j, k, 1), (i, k, 1)))
     return rels
 
 
@@ -167,7 +150,7 @@ def equivariant_relations(n: int) -> EquivariantRelationSet:
     subs = [_substitution(ring, s) for s in group_generators(n)]
     seen: dict[tuple, FreePoly] = {}
     frontier: list[FreePoly] = []
-    for p in _seed_relations(n):
+    for p in _seed_relations(ring):
         key = _normalize(p)
         if key not in seen:
             seen[key] = p

@@ -17,11 +17,13 @@ from math import lcm
 
 import numpy as np
 
-_DEFAULT_PRIME = 2_147_483_647  # Mersenne prime; products still fit in int64
+_PRIME = 2_147_483_647  # Mersenne prime; products still fit in int64
 _INT64_SAFE = 2**31  # Bareiss entries below this keep every update inside int64
 
 
-def rank_mod_p(matrix, p: int = _DEFAULT_PRIME) -> int:
+def rank_mod_p(matrix) -> int:
+    """Rank of an integer matrix modulo ``_PRIME``."""
+    p = _PRIME
     m = np.array(matrix, dtype=np.int64) % p
     rows, cols = m.shape
     rank = 0

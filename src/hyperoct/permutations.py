@@ -55,11 +55,6 @@ def inverse(s: SignedPerm) -> SignedPerm:
     return tuple(out)
 
 
-def is_signed_perm(s: SignedPerm) -> bool:
-    n = len(s)
-    return sorted(abs(x) for x in s) == list(range(1, n + 1))
-
-
 def all_signed_perms(n: int):
     """All 2^n n! elements, in a fixed deterministic order."""
     for base in itertools.permutations(range(1, n + 1)):
@@ -96,13 +91,6 @@ def perm_to_str(s: SignedPerm) -> str:
     return ",".join(str(x) for x in s)
 
 
-def perm_from_str(text: str) -> SignedPerm:
-    s = tuple(int(t) for t in text.split(","))
-    if not is_signed_perm(s):
-        raise ValueError(f"not a signed permutation: {text!r}")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # cycle type and conjugacy classes
 
@@ -130,24 +118,6 @@ def cycle_type(s: SignedPerm) -> SignedPartition:
 def forget_signs(s: SignedPerm) -> SignedPerm:
     """Drop the signs of the one-line entries."""
     return tuple(abs(x) for x in s)
-
-
-def perm_sign(s: SignedPerm) -> int:
-    """Sign of the underlying unsigned permutation."""
-    p = forget_signs(s)
-    seen = [False] * (len(p) + 1)
-    sign = 1
-    for start in range(1, len(p) + 1):
-        if seen[start]:
-            continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i - 1]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @lru_cache(maxsize=None)
@@ -185,15 +155,6 @@ def signed_partition_to_str(lam: SignedPartition) -> str:
     return f"({pos}|{neg})"
 
 
-def signed_partition_from_str(text: str) -> SignedPartition:
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")") and "|" in body):
-        raise ValueError(f"not a signed partition: {text!r}")
-    pos, neg = body[1:-1].split("|")
-    parse = lambda t: tuple(int(x) for x in t.split(",")) if t else ()
-    return parse(pos), parse(neg)
-
-
 def centralizer_order(lam: SignedPartition) -> int:
     """Order of the centralizer of an element of cycle type lam.
 
@@ -213,16 +174,6 @@ def group_order(n: int) -> int:
 
 def class_size(n: int, lam: SignedPartition) -> int:
     return group_order(n) // centralizer_order(lam)
-
-
-def conjugacy_classes(n: int) -> list[tuple[SignedPartition, int, SignedPerm]]:
-    """(cycle type, class size, standard representative) for every class."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [
-        (lam, class_size(n, lam), standard_representative(lam))
-        for lam in signed_partitions(n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +265,6 @@ def centralizer_generators_labeled(
     return gens
 
 
-def centralizer_generators(lam: SignedPartition) -> list[SignedPerm]:
-    """Generators of the centralizer of standard_representative(lam)."""
-    return [g for _, _, g in centralizer_generators_labeled(lam)]
-
-
-def generated_subgroup(gens: list[SignedPerm], n: int) -> set[SignedPerm]:
-    """Closure of gens under composition (breadth-first)."""
-    e = identity(n)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = compose(g, h)
-                if gh not in seen:
-                    seen.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Mantaci-Reutenauer descents and signed compositions
 
@@ -377,10 +306,6 @@ def signed_compositions(n: int):
             yield (-first,) + rest
 
 
-def composition_absolute(p: SignedComposition) -> tuple[int, ...]:
-    return tuple(abs(x) for x in p)
-
-
 def composition_partial_sums(p: SignedComposition) -> frozenset[int]:
     """The first len(p)-1 partial sums of |p|, a subset of [n-1]."""
     sums, acc = [], 0
@@ -405,16 +330,6 @@ def composition_sort(p: SignedComposition) -> SignedPartition:
     pos = sorted((x for x in p if x > 0), reverse=True)
     neg = sorted((-x for x in p if x < 0), reverse=True)
     return tuple(pos), tuple(neg)
-
-
-def composition_helpers(p: SignedComposition):
-    """(|p|, partial sums, interval blocks, sorted signed partition)."""
-    return (
-        composition_absolute(p),
-        composition_partial_sums(p),
-        composition_blocks(p),
-        composition_sort(p),
-    )
 
 
 def set_partition_shape(alpha: SignedSetPartition) -> SignedPartition:

@@ -94,12 +94,15 @@ def graded_character(n: int, space: str) -> list[ClassFunction]:
     ]
 
 
+def _bidegree(m: Monomial) -> tuple[int, int]:
+    """(total degree, loop degree) of a monomial."""
+    return len(m), sum(1 for g in m if len(g) == 1)
+
+
 def bigraded_character(n: int) -> dict[tuple[int, int], ClassFunction]:
     """Characters of the (total degree, loop degree) pieces of the graded
     d = 3 ring."""
-    buckets = _basis_buckets(
-        "Z3", n, lambda m: (len(m), sum(1 for g in m if len(g) == 1))
-    )
+    buckets = _basis_buckets("Z3", n, _bidegree)
     return {key: _bucket_character("Z3", n, pos) for key, pos in buckets.items()}
 
 
@@ -126,9 +129,6 @@ def type_dimension(lam: SignedPartition) -> int:
 
 
 def bigraded_dimensions(n: int) -> dict[tuple[int, int], int]:
-    ring = get_ring("Z3", n)
-    out: dict[tuple[int, int], int] = {}
-    for m in ring.nbc_basis():
-        key = (len(m), sum(1 for g in m if len(g) == 1))
-        out[key] = out.get(key, 0) + 1
-    return out
+    """Dimensions of the (total degree, loop degree) pieces of the graded
+    d = 3 ring."""
+    return {key: len(pos) for key, pos in _basis_buckets("Z3", n, _bidegree).items()}

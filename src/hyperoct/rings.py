@@ -38,7 +38,7 @@ their masks share a bit and is otherwise their union; in the d = 1 rings
 the rank order, ``(popcount, mask)`` is the monomial order, and the rule
 table is keyed by the mask of the straightened generator pair.  Tuples of
 generators appear only at the edges: ``RingElement.terms``,
-``nbc_basis``, ``rules``, JSON and the cache files.
+``nbc_basis``, ``rules`` and the cache files.
 
 Coefficients are Python ints throughout: orienting a rule divides by its
 lead coefficient exactly (every rule coefficient lies in -2..2 at rank
@@ -49,7 +49,6 @@ number.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -204,38 +203,15 @@ class RingElement:
         except ValueError:  # not a square-free monomial of this ring
             return 0
 
-    def _sorted_terms(self):
-        tup = self.ring.monomial_of
-        for k in sorted(self.masks, key=mask_order_key):
-            yield tup(k), self.masks[k]
-
     def __repr__(self):
         if not self.masks:
             return "0"
         bits = []
-        for m, c in self._sorted_terms():
+        for k in sorted(self.masks, key=mask_order_key):
+            m, c = self.ring.monomial_of(k), self.masks[k]
             name = "*".join(gen_pretty(g) for g in m) if m else "1"
             bits.append(f"({c})*{name}")
         return " + ".join(bits)
-
-    def to_json(self) -> str:
-        data = [
-            {
-                "monomial": [gen_to_token(g) for g in m],
-                "coeff": f"{c.numerator}/{c.denominator}",
-            }
-            for m, c in self._sorted_terms()
-        ]
-        return json.dumps(data, sort_keys=True)
-
-    @staticmethod
-    def from_json(ring: "PresentedRing", text: str) -> "RingElement":
-        data = json.loads(text)
-        terms = {}
-        for item in data:
-            m = monomial_sort(token_to_gen(t) for t in item["monomial"])
-            terms[m] = Fraction(item["coeff"])
-        return RingElement(ring, terms)
 
 
 class PresentedRing:
@@ -359,14 +335,6 @@ class PresentedRing:
             return out if self.graded else out - self.one()
         return self.generator((i, j, 1)) + zi - 1 * zj
 
-    def canonicalize(self, label) -> RingElement:
-        """Public canonicalization of a transient generator label."""
-        if len(label) == 1:
-            return self.canonical_loop(label[0])
-        if len(label) == 2:
-            return self.canonical_pair(label[0], label[1])
-        raise ValueError(f"bad generator label {label!r}")
-
     # -- free expansion (used only while generating relations) ---------------
 
     def _free_product(self, polys) -> dict[Mask, int]:
@@ -395,69 +363,23 @@ class PresentedRing:
             if abs(a) != abs(b)
         }
 
-        def one_minus(p):
-            out = {m: -c for m, c in p.items()}
-            out[0] = out.get(0, 0) + 1
-            return {m: c for m, c in out.items() if c}
-
         rels = []
         for a, b in pair:
-            zab, za, zb, zab_neg = pair[(a, b)], loop[a], loop[b], pair[(a, -b)]
-            if self.graded:
-                # pair*loop and the mixed pair/pair straightenings
-                rels.append(
-                    poly_sub(
-                        self._free_product([zab, za]),
-                        poly_add(
-                            self._free_product([zab, zb]),
-                            self._free_product([za, zb]),
-                        ),
-                    )
-                )
-                rels.append(
-                    poly_sub(
-                        self._free_product([zb, zab_neg]),
-                        poly_add(
-                            self._free_product([zab, zab_neg]),
-                            self._free_product([zb, zab]),
-                        ),
-                    )
-                )
-            else:
-                rels.append(
-                    poly_add(
-                        self._free_product([zab, za, one_minus(zb)]),
-                        self._free_product([one_minus(zab), one_minus(za), zb]),
-                    )
-                )
-                rels.append(
-                    poly_add(
-                        self._free_product([zb, zab_neg, one_minus(zab)]),
-                        self._free_product([one_minus(zb), one_minus(zab_neg), zab]),
-                    )
-                )
+            # pair*loop and the mixed pair/pair straightenings
+            rels.append(self._triple_relation(pair[(a, b)], loop[a], loop[b]))
+            rels.append(self._triple_relation(loop[b], pair[(a, -b)], pair[(a, b)]))
         for a, b, c in itertools.permutations(letters, 3):
-            if len({abs(a), abs(b), abs(c)}) != 3:
-                continue
-            zab, zbc, zac = pair[(a, b)], pair[(b, c)], pair[(a, c)]
-            if self.graded:
-                rels.append(
-                    poly_sub(
-                        self._free_product([zab, zbc]),
-                        poly_add(
-                            self._free_product([zab, zac]),
-                            self._free_product([zbc, zac]),
-                        ),
-                    )
-                )
-            else:
-                rels.append(
-                    poly_add(
-                        self._free_product([zab, zbc, one_minus(zac)]),
-                        self._free_product([one_minus(zab), one_minus(zbc), zac]),
-                    )
-                )
+            if len({abs(a), abs(b), abs(c)}) == 3:
+                rels.append(self._triple_relation(pair[(a, b)], pair[(b, c)], pair[(a, c)]))
         return [r for r in rels if r]
+
+    def _triple_relation(self, x, y, z) -> dict[Mask, int]:
+        """The relation on three generator images, expanded in the free ring:
+        xy - xz - yz when graded, xy(1 - z) + (1 - x)(1 - y)z otherwise."""
+        prod = self._free_product
+        if self.graded:
+            return poly_sub(prod([x, y]), poly_add(prod([x, z]), prod([y, z])))
+        return poly_add(prod([x, y, _one_minus(z)]), prod([_one_minus(x), _one_minus(y), z]))
 
     # -- completion -----------------------------------------------------------
 
@@ -692,21 +614,13 @@ class PresentedRing:
             self._nbc_monomials = tuple(self.monomial_of(m) for m in self._nbc)
         return self._nbc
 
-    def nbc_basis(
-        self, degree: int | None = None, loops: int | None = None
-    ) -> list[Monomial]:
-        """Products of at most one generator per hand, optionally filtered by
-        total degree and by loop degree."""
+    def nbc_basis(self, degree: int | None = None) -> list[Monomial]:
+        """Products of at most one generator per hand, optionally only those
+        of one total degree."""
         masks = self.nbc_masks()
-        if degree is None and loops is None:
+        if degree is None:
             return list(self._nbc_monomials)
-        loop_mask = (1 << self.rank) - 1  # loops come first in rank order
-        return [
-            t
-            for m, t in zip(masks, self._nbc_monomials)
-            if (degree is None or m.bit_count() == degree)
-            and (loops is None or (m & loop_mask).bit_count() == loops)
-        ]
+        return [t for m, t in zip(masks, self._nbc_monomials) if m.bit_count() == degree]
 
     # -- group action ---------------------------------------------------------
 
@@ -798,6 +712,10 @@ def poly_add(p, q):
 
 def poly_sub(p, q):
     return poly_add(p, {m: -c for m, c in q.items()})
+
+
+def _one_minus(p):
+    return poly_add({m: -c for m, c in p.items()}, {0: 1})
 
 
 @lru_cache(maxsize=None)

@@ -48,6 +48,7 @@ from .permutations import (
     group_order,
     identity,
     longest_element,
+    perm_to_str,
     signed_partition_to_str,
     signed_partitions,
 )
@@ -207,22 +208,21 @@ def _suite_idempotents(n: int, rec: _Recorder):
     )
 
     gks = [g_k(n, k) for k in range(n + 1)]
-    ok = all(e.is_idempotent() for e in gks)
-    ok = ok and all(
-        (gks[a] * gks[b]).is_zero()
-        for a in range(n + 1)
-        for b in range(n + 1)
-        if a != b
-    )
+    failure = None
+    for a, b in itertools.product(range(n + 1), repeat=2):
+        if gks[a] * gks[b] != (gks[a] if a == b else AlgebraElement.zero(n)):
+            failure = f"g_{a} * g_{b} != " + (f"g_{a}" if a == b else "0")
+            break
     total = AlgebraElement.zero(n)
     for e in gks:
         total = total + e
-    ok = ok and total == AlgebraElement.unit(n)
+    if failure is None and total != AlgebraElement.unit(n):
+        failure = f"sum has {total.support_size()} terms"
     rec.record(
         "positive-part-count-idempotents",
         "orthogonal-idempotent-family-by-positive-part-count",
-        ok,
-        f"{n + 1} idempotents indexed by positive part count: orthogonal, complete",
+        failure is None,
+        failure or f"{n + 1} idempotents indexed by positive part count: orthogonal, complete",
     )
 
 
@@ -327,25 +327,26 @@ def _suite_characters(n: int, rec: _Recorder):
     )
 
 
-_B1_TABLE = {
-    ((1,), ()): {((1,), ()): 1, ((), (1,)): 1},
-    ((), (1,)): {((1,), ()): 1, ((), (1,)): -1},
-}
-
-_B2_CLASS_ORDER = [
-    ((1, 1), ()),
-    ((2,), ()),
-    ((1,), (1,)),
-    ((), (2,)),
-    ((), (1, 1)),
-]
-
-_B2_TABLE = {
-    ((2,), ()): (1, 1, 1, 1, 1),
-    ((), (1, 1)): (1, -1, -1, 1, 1),
-    ((1, 1), ()): (1, -1, 1, -1, 1),
-    ((), (2,)): (1, 1, -1, -1, 1),
-    ((1,), (1,)): (2, 0, 0, 0, -2),
+# the published character tables of B_1 and B_2: rank -> (class order,
+# {irreducible: values in that order})
+_PUBLISHED_TABLES = {
+    1: (
+        [((1,), ()), ((), (1,))],
+        {
+            ((1,), ()): (1, 1),
+            ((), (1,)): (1, -1),
+        },
+    ),
+    2: (
+        [((1, 1), ()), ((2,), ()), ((1,), (1,)), ((), (2,)), ((), (1, 1))],
+        {
+            ((2,), ()): (1, 1, 1, 1, 1),
+            ((), (1, 1)): (1, -1, -1, 1, 1),
+            ((1, 1), ()): (1, -1, 1, -1, 1),
+            ((), (2,)): (1, 1, -1, -1, 1),
+            ((1,), (1,)): (2, 0, 0, 0, -2),
+        },
+    ),
 }
 
 
@@ -403,24 +404,23 @@ def _expected_action_table(ring):
 
 
 def _suite_tables_b2(n: int, rec: _Recorder):
-    for rank, frozen, label in ((1, _B1_TABLE, "b1"), (2, None, "b2")):
+    for rank, (classes, published) in _PUBLISHED_TABLES.items():
         table = character_table(rank)
-        if rank == 1:
-            ok = all(
-                table[lam][c] == v
-                for lam, row in frozen.items()
-                for c, v in row.items()
-            )
-        else:
-            ok = all(
-                tuple(table[lam][c] for c in _B2_CLASS_ORDER) == exp
-                for lam, exp in _B2_TABLE.items()
-            )
+        failure = next(
+            (
+                f"chi^{signed_partition_to_str(lam)} at class "
+                f"{signed_partition_to_str(c)} is {table[lam][c]}, published {v}"
+                for lam, row in published.items()
+                for c, v in zip(classes, row)
+                if table[lam][c] != v
+            ),
+            None,
+        )
         rec.record(
-            f"character-table-{label}",
+            f"character-table-b{rank}",
             f"character-table-rank-{rank}",
-            ok,
-            f"all {len(table) ** 2} entries match the published table",
+            failure is None,
+            failure or f"all {len(table) ** 2} entries match the published table",
         )
 
     ring = get_ring("Z3", 2)
@@ -449,22 +449,29 @@ def _suite_tables_b2(n: int, rec: _Recorder):
     v_plus = zp + zm + z1
     v_minus = zp - 1 * zm - 1 * z2
     v_top = z1 * z2
-    ok = (
-        ring.act(w0, v_plus) == v_plus
-        and ring.act(w0, v_top) == v_top
-        and ring.act(t2, v_minus) == -1 * v_minus
-        and ring.act(s1, v_plus) == -1 * v_plus
-        and ring.act(t2, v_plus) == v_plus
-        and ring.act(s1, v_minus) == -1 * v_minus
-        and ring.act(w0, v_minus) == v_minus
-        and ring.act(s1, v_top) == v_top
-        and ring.act(t2, v_top) == -1 * v_top
-    )
+    # (element, vector, eigenvalue)
+    expected = [
+        (w0, v_plus, 1),
+        (w0, v_top, 1),
+        (t2, v_minus, -1),
+        (s1, v_plus, -1),
+        (t2, v_plus, 1),
+        (s1, v_minus, -1),
+        (w0, v_minus, 1),
+        (s1, v_top, 1),
+        (t2, v_top, -1),
+    ]
+    failure = None
+    for sigma, v, sign in expected:
+        image = ring.act(sigma, v)
+        if image != sign * v:
+            failure = f"({perm_to_str(sigma)}) sends {v!r} to {image!r}, not {sign} times it"
+            break
     rec.record(
         "one-dimensional-eigenvectors",
         "linear-character-eigenvectors-in-rank-2",
-        ok,
-        "the three nontrivial eigenvectors transform by their linear characters",
+        failure is None,
+        failure or "the three nontrivial eigenvectors transform by their linear characters",
     )
 
 
@@ -487,7 +494,9 @@ def _suite_hilbert(n: int, rec: _Recorder):
         "total-dimension",
         "total-dimension-is-group-order",
         ok,
-        f"series at t=1 gives {sum(coeffs)} = 2^{n} {n}!",
+        f"series at t=1 gives {sum(coeffs)} = 2^{n} {n}!"
+        if ok
+        else f"series at t=1 gives {sum(coeffs)}, not 2^{n} {n}! = {group_order(n)}",
     )
     if n == 2:
         ok = coeffs == [1, 4, 3]
@@ -495,7 +504,9 @@ def _suite_hilbert(n: int, rec: _Recorder):
             "rank-2-series",
             "hilbert-series-rank-2",
             ok,
-            "series is 1 + 4t^2 + 3t^4 in cohomological degrees",
+            "series is 1 + 4t^2 + 3t^4 in cohomological degrees"
+            if ok
+            else f"coefficients {coeffs} != [1, 4, 3]",
         )
 
 
@@ -669,12 +680,15 @@ def _suite_bigrading(n: int, rec: _Recorder):
     by_k = {}
     for (k, l), d in dims.items():
         by_k[k] = by_k.get(k, 0) + d
-    ok = all(by_k.get(k, 0) == coeffs[k] for k in range(n + 1))
+    bad = [k for k in range(n + 1) if by_k.get(k, 0) != coeffs[k]]
     rec.record(
         "bidegree-partition",
         "loop-degree-refines-the-grading",
-        ok,
-        f"bidegree dimensions {sorted(dims.items())} sum to the degree counts",
+        not bad,
+        f"bidegree dimensions {sorted(dims.items())} sum to the degree counts"
+        if not bad
+        else f"degree {bad[0]}: bidegree dimensions sum to {by_k.get(bad[0], 0)}, "
+        f"degree count {coeffs[bad[0]]}",
     )
 
     ring = get_ring("Z3", n)
@@ -697,7 +711,7 @@ def _suite_bigrading(n: int, rec: _Recorder):
         else f"violation at {bad[0]}",
     )
 
-    ok = True
+    failure = None
     for (k, l), d in dims.items():
         total = sum(
             c
@@ -705,12 +719,13 @@ def _suite_bigrading(n: int, rec: _Recorder):
             if len(shape[0]) == n - k and len(shape[1]) == l
         )
         if total != d:
-            ok = False
+            failure = f"bidegree ({k}, {l}): type components sum to {total}, dimension {d}"
+            break
     rec.record(
         "bidegree-from-type-sums",
         "bidegree-dimensions-from-type-components",
-        ok,
-        "each bidegree dimension is the sum of its type-component dimensions",
+        failure is None,
+        failure or "each bidegree dimension is the sum of its type-component dimensions",
     )
 
 
@@ -839,7 +854,9 @@ def _suite_chambers(n: int, rec: _Recorder):
         "chamber-count",
         "component-count-is-group-order",
         ok,
-        f"{len(chams)} chambers = 2^{n} {n}!",
+        f"{len(chams)} chambers = 2^{n} {n}!"
+        if ok
+        else f"{len(chams)} chambers, not 2^{n} {n}! = {group_order(n)}",
     )
 
     if n == 2:
@@ -903,12 +920,20 @@ def _suite_chambers(n: int, rec: _Recorder):
     base = chmod.base_chamber(n)
     stab = set(chmod.chamber_stabilizer(n, base))
     cyc = set(cyclic_subgroup(chmod.base_chamber_cycler(n)))
-    ok = stab == cyc and len(stab) == 2 * (n + 1)
+    if stab != cyc:
+        g = min(stab ^ cyc)
+        where = ("stabilizer", "cyclic group") if g in stab else ("cyclic group", "stabilizer")
+        failure = f"({perm_to_str(g)}) is in the {where[0]} but not the {where[1]}"
+    elif len(stab) != 2 * (n + 1):
+        failure = f"stabilizer has order {len(stab)}, not {2 * (n + 1)}"
+    else:
+        failure = None
     rec.record(
         "base-chamber-stabilizer",
         "stabilizer-is-coxeter-cyclic-group",
-        ok,
-        f"stabilizer of the base chamber is the order-{2 * (n + 1)} cyclic group "
+        failure is None,
+        failure
+        or f"stabilizer of the base chamber is the order-{2 * (n + 1)} cyclic group "
         "of the letter cycle",
     )
 
@@ -918,12 +943,20 @@ def _suite_chambers(n: int, rec: _Recorder):
         lifted = tuple([1] + [x + 1 if x > 0 else x - 1 for x in s])
         img = chmod.chamber_action(lifted, base)
         orbit[img] = orbit.get(img, 0) + 1
-    ok = len(orbit) == group_order(n) and all(v == 1 for v in orbit.values())
+    repeated = next((ch for ch, v in orbit.items() if v > 1), None)
+    if repeated is not None:
+        failure = (
+            f"chamber {chmod.chamber_to_str(repeated)} is reached by {orbit[repeated]} elements"
+        )
+    elif len(orbit) != group_order(n):
+        failure = f"the orbit has {len(orbit)} chambers, not {group_order(n)}"
+    else:
+        failure = None
     rec.record(
         "marked-point-action-simply-transitive",
         "subgroup-fixing-marked-point-acts-simply-transitively",
-        ok,
-        "the subgroup fixing the marked letter acts simply transitively on chambers",
+        failure is None,
+        failure or "the subgroup fixing the marked letter acts simply transitively on chambers",
     )
 
 

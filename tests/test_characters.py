@@ -17,7 +17,7 @@ from hyperoct.characters import (
     induce_character,
     induction_product,
     inner_product,
-    linear_characters,
+    negative_count_sign,
     pullback_character,
     regular_character,
     rho_character,
@@ -115,7 +115,12 @@ def test_sn_character_values():
 
 
 def test_linear_characters_on_rank_two_classes():
-    trivial, delta_t, delta_s, product = linear_characters(2)
+    table = character_table(2)
+    delta_t = negative_count_sign(2)
+    assert table[((), (2,))] == delta_t
+    trivial, delta_s = table[((2,), ())], table[((1, 1), ())]
+    product = table[((), (1, 1))]
+    assert product == delta_t * delta_s
     order = [((1, 1), ()), ((2,), ()), ((1,), (1,)), ((), (2,)), ((), (1, 1))]
     assert [trivial[c] for c in order] == [1, 1, 1, 1, 1]
     assert [delta_t[c] for c in order] == [1, 1, -1, -1, 1]

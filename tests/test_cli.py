@@ -342,3 +342,94 @@ def test_character_suite_names_the_first_failing_pairs(monkeypatch):
     assert checks["row-orthonormality"].witness == f"failure at {row}"
     assert checks["column-orthogonality"].status == "fail"
     assert checks["column-orthogonality"].witness == f"failure at {col}"
+
+
+def test_cli_unwritable_out_prints_report_and_exits_two(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "r.json"
+    assert main(["verify", "tau", "--n", "2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("suite tau (n=2)")
+    assert captured.err.startswith(f"hyperoct: cannot write {target}: ")
+
+
+def _wrong_b2_entry(monkeypatch):
+    from hyperoct import suites
+    from hyperoct.characters import ClassFunction
+    from hyperoct.permutations import signed_partitions
+
+    honest = suites.character_table
+    table = dict(honest(2))
+    lam = ((1,), (1,))
+    values = list(table[lam].values)
+    values[signed_partitions(2).index(lam)] += 1
+    table[lam] = ClassFunction(2, tuple(values))
+    monkeypatch.setattr(suites, "character_table", lambda k: table if k == 2 else honest(k))
+    return {"character-table-b2": "chi^(1|1) at class (1|1) is 1, published 0"}
+
+
+def _wrong_hilbert_series(monkeypatch):
+    from hyperoct import suites
+
+    monkeypatch.setattr(suites, "hilbert_coefficients", lambda n: [1, 4, 4])
+    return {
+        "total-dimension": "series at t=1 gives 9, not 2^2 2! = 8",
+        "rank-2-series": "coefficients [1, 4, 4] != [1, 4, 3]",
+        "bidegree-partition": "degree 2: bidegree dimensions sum to 3, degree count 4",
+    }
+
+
+def _non_orthogonal_g0(monkeypatch):
+    from hyperoct import suites
+    from hyperoct.algebra import AlgebraElement
+
+    honest = suites.g_k
+    monkeypatch.setattr(
+        suites, "g_k", lambda n, k: AlgebraElement.unit(n) if k == 0 else honest(n, k)
+    )
+    return {"positive-part-count-idempotents": "g_0 * g_1 != 0"}
+
+
+def _wrong_bidegree_dimension(monkeypatch):
+    from hyperoct import suites
+
+    honest = suites.bigraded_dimensions
+    dims = dict(honest(2))
+    dims[(1, 1)] += 1
+    monkeypatch.setattr(suites, "bigraded_dimensions", lambda n: dims)
+    return {"bidegree-from-type-sums": "bidegree (1, 1): type components sum to 2, dimension 3"}
+
+
+def _short_stabilizer(monkeypatch):
+    from hyperoct import chambers
+    from hyperoct.permutations import perm_to_str
+
+    honest = chambers.chamber_stabilizer
+    missing = honest(2, chambers.base_chamber(2))[-1]
+    monkeypatch.setattr(chambers, "chamber_stabilizer", lambda n, ch: honest(n, ch)[:-1])
+    return {
+        "base-chamber-stabilizer":
+        f"({perm_to_str(missing)}) is in the cyclic group but not the stabilizer"
+    }
+
+
+@pytest.mark.parametrize(
+    "suite, inject, ids",
+    [
+        ("tables-b2", _wrong_b2_entry, ["character-table-b2"]),
+        ("hilbert", _wrong_hilbert_series, ["total-dimension", "rank-2-series"]),
+        ("bigrading", _wrong_hilbert_series, ["bidegree-partition"]),
+        ("idempotents", _non_orthogonal_g0, ["positive-part-count-idempotents"]),
+        ("bigrading", _wrong_bidegree_dimension, ["bidegree-from-type-sums"]),
+        ("chambers", _short_stabilizer, ["base-chamber-stabilizer"]),
+    ],
+)
+def test_failing_checks_name_their_first_mismatch(suite, inject, ids, monkeypatch):
+    # the witness of a failed check names its first mismatch instead of
+    # repeating the pass text
+    witnesses = inject(monkeypatch)
+    checks = {c.id: c for c in run_suite(suite, 2).checks}
+    for check_id in ids:
+        assert (checks[check_id].status, checks[check_id].witness) == (
+            "fail",
+            witnesses[check_id],
+        )

@@ -2,29 +2,27 @@ import itertools
 
 import pytest
 
+from hyperoct.characters import cyclic_subgroup, rho_character
 from hyperoct.permutations import (
     all_signed_perms,
-    centralizer_generators,
+    centralizer_generators_labeled,
     centralizer_order,
     class_size,
     compose,
-    composition_helpers,
+    composition_blocks,
     composition_partial_sums,
-    conjugacy_classes,
+    composition_sort,
     cycle_type,
     descent_set,
     forget_signs,
-    generated_subgroup,
     group_order,
     identity,
     inverse,
     longest_element,
     mr_shape,
-    perm_from_str,
     perm_to_str,
     sign_change,
     signed_compositions,
-    signed_partition_from_str,
     signed_partition_to_str,
     signed_partitions,
     simple_reflection,
@@ -59,7 +57,10 @@ def test_compose_rank_mismatch():
 
 
 def test_cycle_type_published_example():
-    assert cycle_type((2, -3, 1, 7, -6, 5, 4)) == ((2,), (3, 2))
+    sigma = (2, -3, 1, 7, -6, 5, 4)
+    assert cycle_type(sigma) == ((2,), (3, 2))
+    assert perm_to_str(sigma) == "2,-3,1,7,-6,5,4"
+    assert signed_partition_to_str(cycle_type(sigma)) == "(2|3,2)"
 
 
 def test_cycle_type_extremes():
@@ -111,12 +112,11 @@ def test_forget_signs_is_homomorphism():
 
 
 def test_conjugacy_class_counts():
-    assert len(conjugacy_classes(1)) == 2
-    assert [size for _, size, _ in conjugacy_classes(1)] == [1, 1]
-    assert len(conjugacy_classes(2)) == 5
-    classes3 = conjugacy_classes(3)
-    assert len(classes3) == 10
-    assert sum(size for _, size, _ in classes3) == 48
+    assert len(signed_partitions(1)) == 2
+    assert [class_size(1, lam) for lam in signed_partitions(1)] == [1, 1]
+    assert len(signed_partitions(2)) == 5
+    assert len(signed_partitions(3)) == 10
+    assert sum(class_size(3, lam) for lam in signed_partitions(3)) == 48
 
 
 def test_class_sizes_sum_to_group_order():
@@ -135,7 +135,7 @@ def test_conjugacy_classes_against_orbit_enumeration():
         orbit = {compose(compose(x, g), inverse(x)) for x in elems}
         remaining -= orbit
         orbit_sizes[cycle_type(g)] = len(orbit)
-    computed = {lam: size for lam, size, _ in conjugacy_classes(n)}
+    computed = {lam: class_size(n, lam) for lam in signed_partitions(n)}
     assert orbit_sizes == computed
 
 
@@ -156,36 +156,38 @@ def test_standard_representative_has_its_cycle_type():
             assert cycle_type(standard_representative(lam)) == lam
 
 
+def _centralizer_generators(lam):
+    return [g for _, _, g in centralizer_generators_labeled(lam)]
+
+
 def test_centralizer_generators_commute_and_generate():
+    # rho_character's keys are the closure of the labeled generators
     for n in range(1, 5):
         for lam in signed_partitions(n):
             rep = standard_representative(lam)
-            gens = centralizer_generators(lam)
-            for g in gens:
+            for g in _centralizer_generators(lam):
                 assert compose(g, rep) == compose(rep, g)
-            group = generated_subgroup(gens, n)
+            group = rho_character(lam)[1]
             assert len(group) == centralizer_order(lam)
 
 
 def test_centralizer_example_contains_block_swap():
-    gens = centralizer_generators(((2, 1), (2, 2)))
-    assert (1, 2, 3, 6, 7, 4, 5) in gens
+    labeled = centralizer_generators_labeled(((2, 1), (2, 2)))
+    assert ("swap", 2, (1, 2, 3, 6, 7, 4, 5)) in labeled
 
 
 def test_coxeter_centralizer_is_cyclic_of_order_2n():
     for n in (2, 3, 4):
-        gens = centralizer_generators(((), (n,)))
+        gens = _centralizer_generators(((), (n,)))
         assert len(gens) == 1
-        assert len(generated_subgroup(gens, n)) == 2 * n
+        assert len(cyclic_subgroup(gens[0])) == 2 * n
 
 
 def test_composition_helpers_published_example():
     p = (2, -2, 1)
-    absolute, partial, blocks, sorted_pair = composition_helpers(p)
-    assert absolute == (2, 2, 1)
-    assert partial == frozenset({2, 4})
-    assert blocks == ((1, 2), (3, 4), (5,))
-    assert sorted_pair == ((2, 1), (2,))
+    assert composition_partial_sums(p) == frozenset({2, 4})
+    assert composition_blocks(p) == ((1, 2), (3, 4), (5,))
+    assert composition_sort(p) == ((2, 1), (2,))
 
 
 def test_composition_partial_sums_single_block():
@@ -205,18 +207,3 @@ def test_shapes_partition_the_group():
         by_shape[mr_shape(g)] += 1
     assert sum(by_shape.values()) == group_order(n)
     assert set(by_shape) <= set(signed_compositions(n))
-
-
-def test_perm_string_roundtrip():
-    s = "2,-3,1,7,-6,5,4"
-    assert perm_to_str(perm_from_str(s)) == s
-    with pytest.raises(ValueError):
-        perm_from_str("2,2,1")
-
-
-def test_signed_partition_string_roundtrip():
-    lam = ((2,), (3, 2))
-    assert signed_partition_to_str(lam) == "(2|3,2)"
-    assert signed_partition_from_str("(2|3,2)") == lam
-    assert signed_partition_from_str("(|1,1)") == ((), (1, 1))
-    assert signed_partition_from_str("(1,1|)") == ((1, 1), ())

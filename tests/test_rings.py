@@ -54,8 +54,6 @@ def test_canonicalize_rejects_repeated_index():
     r3 = get_ring("Z3", 2)
     with pytest.raises(ValueError):
         r3.canonical_pair(1, -1)
-    with pytest.raises(ValueError):
-        r3.canonicalize((2, 2))
 
 
 def test_multiply_straightening_examples():
@@ -93,14 +91,8 @@ def test_nbc_basis_is_built_once_and_returned_as_a_new_list(space):
         len({gen_hand(g) for g in m}) == len(m) == len(set(m)) for m in basis
     )
     for degree in (None, 0, 1, 2, 3):
-        for loops in (None, 0, 1, 2):
-            want = [
-                m
-                for m in basis
-                if (degree is None or len(m) == degree)
-                and (loops is None or sum(len(g) == 1 for g in m) == loops)
-            ]
-            assert ring.nbc_basis(degree=degree, loops=loops) == want
+        want = [m for m in basis if degree is None or len(m) == degree]
+        assert ring.nbc_basis(degree=degree) == want
     basis.clear()  # callers may mutate what they get
     assert len(ring.nbc_basis()) == group_order(3)
     assert [ring.monomial_of(k) for k in ring.nbc_masks()] == ring.nbc_basis()
@@ -415,14 +407,6 @@ def test_ring_multiplication_is_associative_and_commutative():
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-
-
-def test_ring_element_json_roundtrip():
-    ring = get_ring("Z3", 2)
-    x = ring.generator((1,)) * ring.generator((1, 2, -1)) + 3 * ring.one()
-    text = x.to_json()
-    assert '"z12-"' in text
-    assert RingElement.from_json(ring, text) == x
 
 
 def test_pretty_printer_uses_tilde_for_negative_pairs():
