@@ -1,51 +1,83 @@
 """The convolution kernel of the group algebra.
 
-The product of a = sum a_i g_i and b = sum b_j g_j has coefficients
+The product of a = sum a_g g and b = sum b_h h in Q[B_n] has coefficients
+c_k = sum over g h = k of a_g b_h.  The factors come as supports (element
+indices) with integer coefficients, the numerators of ``AlgebraElement``;
+the result is the dense ndarray of the product's numerators.
 
-    c[k] = sum_i a_i * b[idx(g_i^-1 g_k)],
+The wreath product.  B_n = Z_2^n x| S_n: every signed permutation is
+uniquely t_e s, a permutation s of {1..n} followed by the sign flip t_e
+of the values in the bitmask e (bit v-1 flips v).  With
+s t_e s^-1 = t_{s.e}, (s.e)_v = e_{s^-1(v)},
 
-a gather of Cayley table rows and a matrix product.  The factors come as
-supports (element indices) with integer coefficients, the numerators of
-``AlgebraElement``; the result is the dense ndarray of the product's
-numerators.
+    (t_e s)(t_d r) = t_{e xor s.d} (s r),
 
-Row gathers only.  The contraction runs over the smaller support, of
-length m.  When that is b's, the kernel uses the anti-involution
-x*[i] = x[inv[i]]: ab = (b* a*)*, and b* a* contracts over the support of
-b*, as small as b's, by gathering the table rows ``table[idx_b]`` from a*;
-one permutation of the |B_n| results by ``inv`` undoes the *.  So every
-gather reads whole, contiguous rows of the one table, where gathering
-columns would be strided or need a transposed copy (0.6 MB at n = 4,
-59 MB at n = 5).  The rows are gathered in blocks of at most
-``GATHER_BLOCK`` entries, so no product holds a |B_n| x |B_n| gather
-(118 MB at n = 5), and indexed by the int32 table rows as they are (an
-intp copy of the index would add to the temporaries).
+so an element of Q[B_n] is a 2^n x n! array A[e, s] (``Plan.layout``
+fixes the place of every element; s is the element's S_n-row) and only
+the sign part mixes within a column.  The characters
+chi_u(e) = (-1)^popcount(u & e) of Z_2^n diagonalize it: with the +-1
+Hadamard matrix H[e, u] = chi_u(e), A^ = H A, and since
+chi_u(s.d) = chi_{u.s}(d) with (u.s)_p = u_{s(p)},
+
+    C^[u, r] = sum_s A^[u, s] B^[u.s, s^-1 r],
+    C = H C^ / 2^n                      (H H = 2^n I).
+
+For each character u that is a row vector times a matrix, so the
+contraction is one batched matrix product over the 2^n characters, and it
+runs over the nonzero S_n-rows s of the left factor only.  Its right
+operand comes from one gather ``Plan.flat[u, s, r]`` = (u.s, s^-1 r) into
+B^: about (n!)^2 2^n multiplications for dense factors where the Cayley
+table's double sum takes |B_n|^2 (16 times fewer at n = 4, 32 at n = 5),
+plus three transforms of 2^n x 2^n x n! each.
+
+Side choice.  The anti-involution x*[g] = x[g^-1] reverses products,
+ab = (b* a*)*, and x* has as many nonzero S_n-rows as x (the row of g^-1
+is s^-1).  When b has fewer rows than a the kernel contracts b* a* and
+reads its result through ``Plan.pos_star``, which undoes the *; so the
+contraction always runs over the sparser factor's rows.
 
 Exact through float64 BLAS (as in FFLAS, Dumas, Giorgi and Pernet, ACM
-TOMS 35, 2008).  While max|a| * max|b| * m < 2^53, every partial sum is an
-integer of magnitude below 2^53, which a double holds exactly, in
-whatever order BLAS adds: one limb per factor, and the result in int64.
-Past that bound both coefficient vectors are split into limbs of
-w = floor((53 - bitlen(m)) / 2) bits (as in Ozaki, Ogita, Oishi and
-Rump, Numer. Algorithms 59, 2012): x = sum_i limb_i << w*i with every
-limb but the top one in [0, 2^w) and the top one in [-2^w, 2^w), so each
-limb product summed over m terms stays at most m * 2^(2w) < 2^53.  Each
-block gathers every limb of the dense factor once, and one matrix product
-per gather takes it against all limbs of the other factor; the |B_n|
-results are recombined as sum C_ij << w*(i+j) on Python integers
-(dtype=object).
+TOMS 35, 2008).  Let |a| = sum |a_g|, the same for b.  The terms of each
+stage's sums have absolute values adding up to at most
+
+    A^ = H A:             |a| (column s of A adds up to at most |a|),
+    the contraction:      |a| |b| (|A^[u, s]| is at most column s's part
+                          of |a|, every |B^[., .]| at most |b|),
+    H C^:                 2^n |a| |b|,
+
+so while 2^n |a| |b| < 2^53 every partial sum, in whatever order BLAS
+adds, is an integer of magnitude below 2^53, which a double holds
+exactly.  The kernel multiplies by H / 2^n in place of H, which scales
+every partial sum of the last stage by the power of two 2^-n and keeps it
+exact, so that stage ends on the integer product itself, taken to int64.
+|a| and |b| are float64 sums of |x|, exact below 2^53 and never rounded
+back below it, so the test of the bound is exact.
+
+Past the bound (and for Python-integer coefficients, dtype=object, which
+may lie past a double's range) both coefficient vectors are split into
+limbs of w = floor((53 - bitlen(2^n m_a m_b)) / 2) bits, m_a and m_b the
+support sizes (as in Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59,
+2012): x = sum_i limb_i << w*i with every limb but the top one in
+[0, 2^w) and the top one in [-2^w, 2^w), so one limb of a adds up to at
+most m_a 2^w in absolute value and each pair of limbs stays under
+2^n m_a m_b 2^(2w) < 2^53.  Every limb is transformed once, each of a's
+limbs is contracted against each of b's, and the products C_ij are
+recombined as sum C_ij << w*(i+j) on Python integers.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
-from .groupdata import GroupData
+from .groupdata import GroupData, get_group
 
 BACKEND = "python"
 INT64_BOUND = 2**62
 FLOAT64_EXACT = 2**53  # every integer of smaller magnitude is a double
-GATHER_BLOCK = 2**16  # table entries gathered per block (512 KB of float64)
 
 
 def max_abs(coef) -> int:
@@ -75,6 +107,58 @@ def _limbs(coef, top: int, width: int, count: int) -> np.ndarray:
     return limbs
 
 
+class Plan(NamedTuple):
+    """The wreath-product layout of B_n, built once per n from the table.
+
+    ``layout[e, s]`` is the index of t_e s, s the s-th permutation of
+    {1..n} in lexicographic order; ``pos`` is its inverse (the place of
+    every element in ``layout.ravel()``) and ``pos_star[g] = pos[g^-1]``;
+    ``row[g]`` is the row of g (its permutation) and ``sinv[s]`` the row of
+    s^-1; ``hadamard[e, u] = chi_u(e)`` and ``unhadamard`` is its inverse,
+    H / 2^n; and ``flat[u, s, r]`` is the place of (u.s, s^-1 r) in a
+    2^n x n! array.
+    """
+
+    layout: np.ndarray
+    pos: np.ndarray
+    pos_star: np.ndarray
+    row: np.ndarray
+    sinv: np.ndarray
+    hadamard: np.ndarray
+    unhadamard: np.ndarray
+    flat: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def plan(n: int) -> Plan:
+    """The wreath-product layout of B_n (2 ms at n = 5)."""
+    group = get_group(n)
+    table, size = group.table, 1 << n
+    perms = np.array(
+        [group.index[p] for p in itertools.permutations(range(1, n + 1))], dtype=np.intp
+    )
+    flips = np.array(
+        [
+            group.index[tuple(-v if e >> (v - 1) & 1 else v for v in range(1, n + 1))]
+            for e in range(size)
+        ],
+        dtype=np.intp,
+    )
+    k = len(perms)
+    layout = table[flips[:, None], perms[None, :]]  # t_e o s
+    pos = np.empty(group.order, dtype=np.intp)
+    pos[layout.ravel()] = np.arange(group.order)
+    mask, row = np.divmod(pos, k)
+    inverses = group.inv[perms]
+    quotient = row[table[inverses[:, None], perms[None, :]]]  # s^-1 o r
+    # u.s is the sign mask of s^-1 t_u s
+    twisted = mask[table[table[inverses[:, None], flips[None, :]], perms[:, None]]]
+    flat = twisted.T[:, :, None] * k + quotient[None, :, :]
+    e = np.arange(size)
+    hadamard = 1.0 - 2.0 * (np.bitwise_count(e[:, None] & e[None, :]) & 1)
+    return Plan(layout, pos, pos[group.inv], row, row[inverses], hadamard, hadamard / size, flat)
+
+
 def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray:
     """Dense integer coefficients of the convolution product: int64 on one
     limb, Python integers (dtype=object) on several.
@@ -87,39 +171,49 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
     >>> c.tolist() == [-x * y, x * y]
     True
     """
-    reverse = len(idx_b) < len(idx_a)
-    if reverse:  # gather from a* along the support of b, then undo the *
-        rows, small, at, big = idx_b, coef_b, group.inv[idx_a], coef_a
+    p = plan(group.n)
+    size, k = p.layout.shape
+    rows_a = np.bincount(p.row[idx_a]).nonzero()[0]
+    rows_b = np.bincount(p.row[idx_b]).nonzero()[0]
+    reverse = len(rows_b) < len(rows_a)
+    if reverse:  # contract b* a* over the rows of b*, then undo the *
+        rows, at_a, at_b = p.sinv[rows_b], p.pos_star[idx_b], p.pos_star[idx_a]
+        coef_a, coef_b = coef_b, coef_a
     else:
-        rows, small, at, big = group.inv[idx_a], coef_a, idx_b, coef_b
-    m = len(rows)
-    top_small, top_big = max_abs(small), max_abs(big)
-    bound = top_small * top_big * m
-    if bound < FLOAT64_EXACT:
-        width, count_small, count_big = 0, 1, 1
+        rows, at_a, at_b = rows_a, p.pos[idx_a], p.pos[idx_b]
+    coef_a, coef_b = np.asarray(coef_a), np.asarray(coef_b)
+    one_limb = not (coef_a.dtype.hasobject or coef_b.dtype.hasobject)
+    if one_limb:
+        dense = np.zeros((2, size * k))
+        dense[0][at_a], dense[1][at_b] = coef_a, coef_b
+        sum_a, sum_b = map(int, np.add.reduce(np.abs(dense), axis=1).tolist())
+        one_limb = (sum_a * sum_b) << group.n < FLOAT64_EXACT
+    if one_limb:
+        count_a = count_b = 1
     else:
-        width = (53 - m.bit_length()) // 2
-        count_small, count_big = (
-            (top.bit_length() + width - 1) // width for top in (top_small, top_big)
-        )
-    small_limbs = _limbs(small, top_small, width, count_small)
-    dense = np.zeros((count_big, group.order))
-    dense[:, at] = _limbs(big, top_big, width, count_big)
-    # prod[i, j] = C_ij, limb i of ``small`` against limb j of ``big``,
-    # summed one block of table rows at a time; it stays exact
-    prod = np.zeros((count_small, count_big, group.order))
-    step = max(1, GATHER_BLOCK // group.order)
-    for start in range(0, m, step):
-        idx = group.table[rows[start : start + step]]
-        for j in range(count_big):
-            prod[:, j] += small_limbs[:, start : start + step].dot(dense[j][idx])
-    if count_small == count_big == 1:
-        out = prod[0, 0].astype(np.int64)
-    else:  # every C_ij is an integer below 2^53
-        prod = prod.astype(np.int64).astype(object)
+        top_a, top_b = max_abs(coef_a), max_abs(coef_b)
+        width = (53 - ((len(at_a) * len(at_b)) << group.n).bit_length()) // 2
+        count_a, count_b = (max(1, -(-top.bit_length() // width)) for top in (top_a, top_b))
+        dense = np.zeros((count_a + count_b, size * k))
+        dense[:count_a, at_a] = _limbs(coef_a, top_a, width, count_a)
+        dense[count_a:, at_b] = _limbs(coef_b, top_b, width, count_b)
+    dense = dense.reshape(-1, size, k)
+    if len(rows) == k:  # every row: the plan's own index, no copies
+        left, index = dense[:count_a], p.flat
+    else:
+        left, index = dense[:count_a].take(rows, axis=2), p.flat[:, rows]
+    # hat_a[u, i, s] for limb i of a, hat_b[j, u k + r] for limb j of b
+    hat_a = np.matmul(p.hadamard, left).transpose(1, 0, 2)
+    hat_b = np.matmul(p.hadamard, dense[count_a:]).reshape(count_b, -1)
+    gathered = hat_b.take(index, axis=1)
+    hat_c = np.matmul(hat_a, gathered).reshape(count_b, size, -1)
+    prod = np.matmul(p.unhadamard, hat_c).astype(np.int64)
+    if count_a == count_b == 1:
+        out = prod.ravel()
+    else:
+        prod = prod.reshape(count_b, size, count_a, k).transpose(2, 0, 1, 3)
+        prod = prod.reshape(count_a, count_b, -1).astype(object)
         out = sum(
-            prod[i, j] << width * (i + j)
-            for i in range(count_small)
-            for j in range(count_big)
+            prod[i, j] << width * (i + j) for i in range(count_a) for j in range(count_b)
         )
-    return out[group.inv] if reverse else out
+    return out[p.pos_star if reverse else p.pos]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -63,29 +64,68 @@ def _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b):
     return out
 
 
-def _limb_counts(monkeypatch) -> list:
-    """Record the limb count of every factor the kernel splits."""
-    counts = []
-    honest = kernels._limbs
-
-    def limbs(coef, top, width, count):
-        counts.append(count)
-        return honest(coef, top, width, count)
-
-    monkeypatch.setattr(kernels, "_limbs", limbs)
-    return counts
+def _reference_limbs(x, width, count):
+    """Limbs of the Python integers in ``x``: the low ones in [0, 2^width),
+    the top one signed."""
+    limbs = np.empty((count, len(x)))
+    for i in range(count - 1):
+        limbs[i] = x & ((1 << width) - 1)
+        x = x >> width
+    limbs[-1] = x
+    return limbs
 
 
-def _one_limb(top_a, top_b, size_a, size_b) -> bool:
-    return top_a * top_b * min(size_a, size_b) < 2**53
+def _reference_convolution(group, idx_a, coef_a, idx_b, coef_b):
+    """The row-gather kernel that the wreath-product kernel replaced:
+    c[k] = sum_i a_i b[idx(g_i^-1 g_k)] contracted over the smaller support
+    (through ab = (b* a*)* when that is b's), from rows of the Cayley table
+    gathered in blocks and multiplied in float64; one limb while
+    max|a| max|b| m < 2^53, limbs of floor((53 - bitlen(m)) / 2) bits past
+    it, recombined on Python integers."""
+    reverse = len(idx_b) < len(idx_a)
+    if reverse:
+        rows, small, at, big = idx_b, coef_b, group.inv[idx_a], coef_a
+    else:
+        rows, small, at, big = group.inv[idx_a], coef_a, idx_b, coef_b
+    small, big = np.array(small, dtype=object), np.array(big, dtype=object)
+    m = len(rows)
+    top_small, top_big = max(map(abs, small)), max(map(abs, big))
+    if top_small * top_big * m < 2**53:
+        width, count_small, count_big = 0, 1, 1
+    else:
+        width = (53 - m.bit_length()) // 2
+        count_small, count_big = (
+            max(1, -(-top.bit_length() // width)) for top in (top_small, top_big)
+        )
+    small_limbs = _reference_limbs(small, width, count_small)
+    dense = np.zeros((count_big, group.order))
+    dense[:, at] = _reference_limbs(big, width, count_big)
+    prod = np.zeros((count_small, count_big, group.order))
+    step = max(1, 2**16 // group.order)
+    for start in range(0, m, step):
+        idx = group.table[rows[start : start + step]]
+        for j in range(count_big):
+            prod[:, j] += small_limbs[:, start : start + step].dot(dense[j][idx])
+    prod = prod.astype(np.int64).astype(object)
+    out = sum(
+        prod[i, j] << width * (i + j) for i in range(count_small) for j in range(count_big)
+    )
+    return out[group.inv] if reverse else out
+
+
+def _row_count(n, idx):
+    """The number of S_n-rows (permutations |g|) the elements of idx span."""
+    return len(set(kernels.plan(n).row[idx].tolist()))
+
+
+def _one_limb(n, coef_a, coef_b) -> bool:
+    return (sum(map(abs, coef_a)) * sum(map(abs, coef_b))) << n < 2**53
 
 
 def _cases(n, size_a, size_b, top_a, top_b, trials, rng):
     """Seeded (idx_a, coef_a, idx_b, coef_b) with max|a| = top_a and
     max|b| = top_b; the first case puts every coefficient at its maximum,
-    so every partial sum is at its largest magnitude, and an entry of the
-    product reaches top_a * top_b * min(size_a, size_b) when the larger
-    support is all of B_n."""
+    so sum|a| sum|b| takes its largest value."""
     order = get_group(n).order
     for trial in range(trials):
         idx_a = rng.sample(range(order), size_a)
@@ -99,10 +139,17 @@ def _cases(n, size_a, size_b, top_a, top_b, trials, rng):
         yield idx_a, coef_a, idx_b, coef_b
 
 
-# The kernel contracts over the smaller support, so cases with
-# size_b < size_a and with size_a <= size_b run its two branches.  It takes
-# one float64 limb per factor exactly while bound^2 * min(size_a, size_b)
-# < 2^53: 759250124 at n = 2 and 2^40 at n = 4 are past that and run on
+def _check_product(n, idx_a, coef_a, idx_b, coef_b, expected):
+    """The kernel's product equals ``expected``, in int64 exactly when one
+    float64 limb is exact: 2^n sum|a| sum|b| < 2^53."""
+    got = kernels.convolve_dense(get_group(n), idx_a, coef_a, idx_b, coef_b)
+    assert got.tolist() == list(expected)
+    assert (got.dtype == np.int64) == _one_limb(n, coef_a, coef_b)
+
+
+# Random supports of these sizes span most S_n-rows, so the larger support
+# is mostly the factor with more rows and both side choices run.  A bound of
+# 50 or 5 stays on one limb; 759250124 at n = 2 and 2^40 at n = 4 run on
 # limbs.
 @pytest.mark.parametrize(
     "n, size_a, size_b, bound",
@@ -118,25 +165,32 @@ def _cases(n, size_a, size_b, top_a, top_b, trials, rng):
         (2, 8, 8, 759250125),
     ],
 )
-def test_convolve_dense_matches_double_sum(monkeypatch, n, size_a, size_b, bound):
+def test_convolve_dense_matches_double_sum(n, size_a, size_b, bound):
     rng = random.Random(1000 * n + size_a)
     group = get_group(n)
-    counts = _limb_counts(monkeypatch)
     for idx_a, coef_a, idx_b, coef_b in _cases(n, size_a, size_b, bound, bound, 3, rng):
         expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
-        assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b).tolist() == expected
-    assert len(counts) == 6
-    assert (max(counts) == 1) == _one_limb(bound, bound, size_a, size_b)
+        _check_product(n, idx_a, coef_a, idx_b, coef_b, expected)
 
 
-# max|a| * max|b| * m around 2^53, on both branches: 2^53 - 1 =
-# 441650591 * 20394401 (m = 1), 8 * (2^25 - 1)(2^25 + 1) = 2^53 - 8 and
-# 8 * 2^25 * 2^25 = 2^53 (m = 8, reached by the all-maximal case), and a
-# pair whose product 2^52 - 2^27 + 1 is below 2^53 while m = 384 takes the
-# bound far past it.
+# The one-limb bound 2^4 sum|a| sum|b| < 2^53 at n = 4.  It is a multiple of
+# 2^4, so 2^53 - 16 is the largest value below 2^53 that it takes:
+# 2^49 - 1 = 127 * 4432676798593 (one limb) against 2^49 = 2^24 * 2^25 and
+# 8 * 256 * 2^19 * 2^19 (limbs), each reached by the all-maximal case, and
+# with the sparser factor on either side.  A single pair of elements reaches
+# the bound itself: its product has one entry 2^n |a| |b| before the
+# division by 2^n.  The older cases sit at the row-gather kernel's bound
+# max|a| max|b| m < 2^53 and stay as cases on both sides of the new one.
 @pytest.mark.parametrize(
     "size_a, size_b, top_a, top_b",
     [
+        (1, 1, 127, 4432676798593),
+        (1, 1, 4432676798593, 127),
+        (1, 1, 2**24, 2**25),
+        (127, 1, 1, 4432676798593),
+        (1, 127, 4432676798593, 1),
+        (8, 256, 2**19, 2**19),
+        (256, 8, 2**19, 2**19),
         (1, 384, 441650591, 20394401),
         (384, 1, 20394401, 441650591),
         (1, 384, 2**27, 2**26),
@@ -148,14 +202,42 @@ def test_convolve_dense_matches_double_sum(monkeypatch, n, size_a, size_b, bound
         (384, 384, 2**26 - 1, 2**26 - 1),
     ],
 )
-def test_convolve_dense_at_the_float64_edge(monkeypatch, size_a, size_b, top_a, top_b):
+def test_convolve_dense_at_the_float64_edge(size_a, size_b, top_a, top_b):
     group = get_group(4)
-    counts = _limb_counts(monkeypatch)
     rng = random.Random(top_a + size_a)
     for idx_a, coef_a, idx_b, coef_b in _cases(4, size_a, size_b, top_a, top_b, 2, rng):
         expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
-        assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b).tolist() == expected
-    assert (max(counts) == 1) == _one_limb(top_a, top_b, size_a, size_b)
+        _check_product(4, idx_a, coef_a, idx_b, coef_b, expected)
+
+
+def test_the_float64_edge_is_reached_on_both_sides():
+    # the all-maximal cases of the edge test, by their bound and side
+    group = get_group(4)
+    rng = random.Random(3)
+    for size_a, size_b, top_a, top_b, bound in [
+        (1, 127, 4432676798593, 1, 2**53 - 16),
+        (127, 1, 1, 4432676798593, 2**53 - 16),
+        (8, 256, 2**19, 2**19, 2**53),
+        (256, 8, 2**19, 2**19, 2**53),
+    ]:
+        idx_a, coef_a, idx_b, coef_b = next(_cases(4, size_a, size_b, top_a, top_b, 1, rng))
+        assert (sum(coef_a) * sum(coef_b)) << 4 == bound
+        assert (_row_count(4, idx_b) < _row_count(4, idx_a)) == (size_b < size_a)
+        expected = _reference_convolution(group, idx_a, coef_a, idx_b, coef_b)
+        _check_product(4, idx_a, coef_a, idx_b, coef_b, expected)
+
+
+def _limb_counts(monkeypatch) -> list:
+    """Record the limb count of every factor the kernel splits."""
+    counts = []
+    honest = kernels._limbs
+
+    def limbs(coef, top, width, count):
+        counts.append(count)
+        return honest(coef, top, width, count)
+
+    monkeypatch.setattr(kernels, "_limbs", limbs)
+    return counts
 
 
 # Coefficients past 2^62 and past 2^100 (three and more limbs), with the
@@ -177,7 +259,7 @@ def test_convolve_dense_on_limbs_past_int64(monkeypatch, n, size_a, size_b, bits
     group = get_group(n)
     counts = _limb_counts(monkeypatch)
     rng = random.Random(bits + size_a)
-    width = (53 - min(size_a, size_b).bit_length()) // 2
+    width = (53 - ((size_a * size_b) << n).bit_length()) // 2
     top = 2**bits - 1  # every limb full in the all-maximal case
     for trial, (idx_a, coef_a, idx_b, coef_b) in enumerate(
         _cases(n, size_a, size_b, top, top, 3, rng)
@@ -187,8 +269,96 @@ def test_convolve_dense_on_limbs_past_int64(monkeypatch, n, size_a, size_b, bits
         if trial == 2 and size_a > 1:
             coef_a[1] = -(2 ** (2 * width))
         expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
-        assert kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b).tolist() == expected
+        _check_product(n, idx_a, coef_a, idx_b, coef_b, expected)
     assert min(counts) > 1 and max(counts) >= 3
+
+
+def _support(rng, n, rows, per_row):
+    """``per_row`` random elements in each of ``rows`` random S_n-rows."""
+    layout = kernels.plan(n).layout
+    picked = rng.sample(range(layout.shape[1]), rows)
+    return [int(layout[e, s]) for s in picked for e in rng.sample(range(layout.shape[0]), per_row)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_convolve_dense_matches_row_gather_reference(n):
+    # sparse, mid and full supports in both orders, so both side choices
+    # run, on one limb and on several; 20 products at n = 5
+    rng = random.Random(12 + n)
+    size, k = kernels.plan(n).layout.shape
+    shapes = [
+        ((1, 1), (k, size)),
+        ((min(2, k), 1), (min(3, k), min(2, size))),
+        ((1, size), (k, 1)),
+        ((max(1, k // 2), max(1, size // 2)), (max(1, k // 3), max(1, size // 4))),
+        ((k, size), (k, size)),
+    ]
+    group, sides, limbs = get_group(n), set(), set()
+    for shape_a, shape_b in shapes + [(b, a) for a, b in shapes]:
+        for top in (9, 2**40 if shape_a != shape_b else 2**70):
+            idx_a, idx_b = _support(rng, n, *shape_a), _support(rng, n, *shape_b)
+            coef_a = [rng.choice((-1, 1)) * rng.randint(1, top) for _ in idx_a]
+            coef_b = [rng.choice((-1, 1)) * rng.randint(1, top) for _ in idx_b]
+            expected = _reference_convolution(group, idx_a, coef_a, idx_b, coef_b)
+            _check_product(n, idx_a, coef_a, idx_b, coef_b, expected)
+            sides.add(_row_count(n, idx_b) < _row_count(n, idx_a))
+            limbs.add(_one_limb(n, coef_a, coef_b))
+    assert limbs == {True, False}
+    assert sides == ({True, False} if n > 1 else {False})
+
+
+def test_contraction_runs_over_the_factor_with_fewer_rows(monkeypatch):
+    # a has 12 elements on 2 rows, b 5 elements on 5 rows: the kernel
+    # gathers B^ for a's 2 rows in ab and for b*'s 2 rows in ba
+    n, rng = 4, random.Random(5)
+    group, p = get_group(n), kernels.plan(n)
+    a, b = _support(rng, n, 2, 6), _support(rng, n, 5, 1)
+    coef_a, coef_b = [3] * len(a), [-2] * len(b)
+    keys = []
+
+    class Flat(np.ndarray):
+        def __getitem__(self, key):
+            keys.append(key)
+            return np.asarray(self)[key]
+
+    monkeypatch.setattr(kernels, "plan", lambda n: p._replace(flat=p.flat.view(Flat)))
+    for x, cx, y, cy in ((a, coef_a, b, coef_b), (b, coef_b, a, coef_a)):
+        expected = _reference_convolution(group, x, cx, y, cy)
+        _check_product(n, x, cx, y, cy, expected)
+    assert [len(rows) for _, rows in keys] == [2, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plan_matches_the_cayley_table(n):
+    group, p = get_group(n), kernels.plan(n)
+    size, k = p.layout.shape
+    perms = sorted(itertools.permutations(range(1, n + 1)))
+    flips = [tuple(-v if e >> (v - 1) & 1 else v for v in range(1, n + 1)) for e in range(size)]
+    # layout is a bijection onto B_n, with layout[e, s] = t_e o s
+    assert sorted(p.layout.ravel().tolist()) == list(range(group.order))
+    for e, flip in enumerate(flips):
+        for s, perm in enumerate(perms):
+            assert group.elements[p.layout[e, s]] == compose(flip, perm)
+    assert (p.pos[p.layout.ravel()] == np.arange(group.order)).all()
+    assert (p.pos_star == p.pos[group.inv]).all()
+    assert (p.row == p.pos % k).all()
+    sig = p.layout[0]  # the permutations s
+    assert (sig[p.sinv] == group.inv[sig]).all()
+    chi = [[(-1) ** bin(e & u).count("1") for u in range(size)] for e in range(size)]
+    assert p.hadamard.tolist() == chi
+    assert (p.unhadamard * size == p.hadamard).all()
+    # flat[u, s, r] = (u.s, s^-1 r), where chi_u(s.d) = chi_{u.s}(d) for
+    # every sign mask d and s.d is the sign mask of s t_d s^-1
+    twist, quotient = np.divmod(p.flat, k)
+    left = group.table[group.inv[sig][:, None], sig[None, :]]
+    assert (sig[quotient] == left[None]).all()
+    conj = group.table[group.table[sig[:, None], p.layout[:, 0][None, :]], group.inv[sig][:, None]]
+    moved = p.pos[conj] // k  # [s, d]
+    masks = np.arange(size)
+    parity = lambda x: np.bitwise_count(x) & 1  # noqa: E731
+    for s in range(k):
+        want = parity(masks[:, None] & moved[s][None, :])  # [u, d]
+        assert (parity(twist[:, s, :, None] & masks) == want[:, None, :]).all()
 
 
 def test_convolution_matches_definition():
