@@ -36,7 +36,6 @@ from .permutations import (
     composition_blocks,
     composition_partial_sums,
     descent_set,
-    forget_signs,
     identity,
     mr_shape,
     partitions,
@@ -56,9 +55,9 @@ class AlgebraElement:
 
     >>> x = AlgebraElement(1, {(1,): Fraction(1, 2), (-1,): Fraction(3, 4)})
     >>> x.num.tolist(), x.den
-    ([3, 2], 4)
+    ([2, 3], 4)
     >>> (2 * x).num.tolist(), (2 * x).den
-    ([3, 2], 2)
+    ([2, 3], 2)
     """
 
     __slots__ = ("n", "num", "den")
@@ -341,23 +340,16 @@ def _gr_chain(n: int, p: tuple[int, ...]) -> AlgebraElement:
     return out
 
 
-@lru_cache(maxsize=None)
-def _forget_signs_index(n: int) -> np.ndarray:
-    """Read-only index array: entry i is the index of forget_signs(elements[i])."""
-    group = get_group(n)
-    out = np.array([group.index[forget_signs(g)] for g in group.elements], dtype=np.intp)
-    out.setflags(write=False)
-    return out
-
-
 def tau_map(x: AlgebraElement) -> AlgebraElement:
     """Push coefficients forward along sign forgetting, summing collisions.
 
-    Each unsigned permutation collects 2^n numerators; int64 holds the sum
-    below ``kernels.INT64_BOUND``, Python integers past it."""
+    t_e s goes to s, so the 2^n sign rows of the layout of
+    ``hyperoct.groupdata`` are summed onto the unsigned row e = 0.  Each
+    unsigned permutation collects 2^n numerators; int64 holds the sum below
+    ``kernels.INT64_BOUND``, Python integers past it."""
     num = x.num.astype(kernels.exact_dtype(kernels.max_abs(x.num) << x.n), copy=False)
     out = np.zeros(len(num), dtype=num.dtype)
-    np.add.at(out, _forget_signs_index(x.n), num)
+    out[: len(num) >> x.n] = num.reshape(1 << x.n, -1).sum(axis=0)
     return AlgebraElement._reduced(x.n, out, x.den)
 
 
@@ -390,10 +382,9 @@ def right_ideal_dimension_by_rank(e: AlgebraElement) -> int:
     group = get_group(e.n)
     rows = [[Fraction(0)] * group.order for _ in range(group.order)]
     for g, c in e.coeffs.items():
-        gi = group.index[g]
-        # column y of the matrix is e*y; entry at row table[gi, y]
-        for y in range(group.order):
-            rows[int(group.table[gi, y])][y] += c
+        # column y of the matrix is e*y; entry at row g y
+        for y, gy in enumerate(group.mul(group.index[g], np.arange(group.order)).tolist()):
+            rows[gy][y] += c
     return rank_exact(rows)
 
 

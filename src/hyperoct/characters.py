@@ -361,10 +361,11 @@ def coset_permutation_character(n: int, subgroup) -> ClassFunction:
     """
     group = get_group(n)
     # the least index in x H labels the coset x H, and lies in it
-    coset_of = group.table[:, [group.index[h] for h in subgroup]].min(axis=1)
+    members = np.array([group.index[h] for h in subgroup])
+    coset_of = group.mul(np.arange(group.order)[:, None], members[None, :]).min(axis=1)
     reps = np.unique(coset_of)
     vals = []
     for lam in signed_partitions(n):
-        moved = group.table[group.index[standard_representative(lam)], reps]
+        moved = group.mul(group.index[standard_representative(lam)], reps)
         vals.append(int(np.count_nonzero(coset_of[moved] == reps)))
     return ClassFunction(n, tuple(vals))

@@ -1,81 +1,94 @@
-"""Indexed enumeration of B_n with a precomputed Cayley table.
+"""B_n indexed by its wreath-product layout, with products by index arithmetic.
 
-The table is the workhorse behind group-algebra convolution.  Elements are
-indexed in a fixed deterministic order; ``table[i, j]`` is the index of
-``elements[i] o elements[j]`` (apply j first).  Sizes stay modest at desk
-scale (|B_4| = 384, table 384 x 384), and instances are cached per n.
+B_n = Z_2^n x| S_n: every signed permutation is uniquely t_e s, a
+permutation s of {1..n} followed by the sign flip t_e of the values in the
+bitmask e (bit v-1 flips v).  Element ``e * n! + s`` is t_e s, where s is
+the s-th permutation of {1..n} in lexicographic order, so an element of
+Q[B_n] read as a 2^n x n! array has one row per sign mask and one column
+per permutation.  Conjugation moves a sign flip along the permutation,
+s t_d s^-1 = t_{s.d} with (s.d)_v = d_{s^-1(v)}, and flips commute with
+t_e t_d = t_{e xor d}, so
+
+    (t_e s)(t_d r) = t_e (s t_d s^-1) s r = t_{e xor s.d} (s r),
+    (t_e s)^-1 = s^-1 t_e = (s^-1 t_e s) s^-1 = t_{s^-1.e} s^-1,
+
+and products and inverses need only the n! x n! table of S_n
+(``perm_table``) and the n! x 2^n action ``twist[s, d] = s.d``: 4.5 MB at
+n = 6, where the int32 Cayley table of B_n takes 7.9 GiB.  Instances are
+cached per n.
 
 Characters are summed over the conjugation sweep of the class
-representatives (``class_sweep``), built from the table on first use.
+representatives (``class_sweep``), built by index arithmetic on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
-from .permutations import (
-    SignedPerm,
-    all_signed_perms,
-    signed_partitions,
-    standard_representative,
-)
+from .permutations import SignedPerm, signed_partitions, standard_representative
 
 
 @dataclass
 class GroupData:
     n: int
-    elements: tuple[SignedPerm, ...]
+    elements: tuple[SignedPerm, ...]  # elements[e * n! + s] = t_e o s
     index: dict[SignedPerm, int]
-    table: np.ndarray  # int32, table[i, j] = index(elements[i] o elements[j])
-    inv: np.ndarray  # int32
+    perm_table: np.ndarray  # intp, perm_table[s, r] = the row of s o r
+    twist: np.ndarray  # intp, twist[s, d] = s.d, the sign mask of s t_d s^-1
+    inv: np.ndarray  # intp, elements[inv[i]] = elements[i]^-1
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def mul(self, i, j):
+        """The index of elements[i] o elements[j] (apply j first), broadcast
+        over index arrays."""
+        k = len(self.perm_table)
+        e, s = np.divmod(i, k)
+        d, r = np.divmod(j, k)
+        return (e ^ self.twist[s, d]) * k + self.perm_table[s, r]
+
 
 @lru_cache(maxsize=None)
 def get_group(n: int) -> GroupData:
-    elements = tuple(sorted(all_signed_perms(n)))
+    k = factorial(n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(k, n)
+    # a permutation's lexicographic rank from its entries read as base-n digits
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    rank = np.zeros(n**n, dtype=np.intp)
+    rank[perms @ weights] = np.arange(k)
+    perm_table = rank[perms[:, perms] @ weights]  # (s o r)(p) = s(r(p))
+    masks = np.arange(1 << n)
+    # bit v of d moves to bit s(v) of s.d
+    twist = ((masks[None, :, None] >> np.arange(n) & 1) << perms[:, None, :]).sum(axis=2)
+    signs = 1 - 2 * (masks[:, None, None] >> perms & 1)  # [e, s, p]: t_e flips s(p)
+    elements = tuple(map(tuple, (signs * (perms + 1)).reshape(-1, n).tolist()))
+    sinv = np.argmin(perm_table, axis=1)  # row 0 is the identity
+    e, s = np.divmod(np.arange(len(elements)), k)
+    inv = twist[sinv[s], e] * k + sinv[s]
     index = {g: i for i, g in enumerate(elements)}
-    order = len(elements)
-    perms = np.array(elements, dtype=np.int8).reshape(order, n)
-    # an element's key reads its one-line entries s(p) + n as base-(2n+1) digits
-    weights = (2 * n + 1) ** np.arange(n, dtype=np.int32)
-
-    def keys(rows: np.ndarray) -> np.ndarray:
-        return np.einsum("...p,p->...", rows, weights) + n * int(weights.sum())
-
-    lookup = np.zeros((2 * n + 1) ** n, dtype=np.int32)
-    lookup[keys(perms)] = np.arange(order, dtype=np.int32)
-    # (g o h)(p) = sign(h(p)) * g(|h(p)|): gather from g's entries by h's
-    positions = np.abs(perms).astype(np.intp) - 1
-    signs = np.sign(perms)
-    table = np.empty((order, order), dtype=np.int32)
-    block = max(1, order // max(n, 1))  # keeps each block's arrays within the table's size
-    for start in range(0, order, block):
-        rows = perms[start : start + block]
-        table[start : start + block] = lookup[keys(rows[:, positions] * signs)]
-    inverses = np.empty_like(perms)
-    inverses[np.arange(order)[:, None], positions] = signs * np.arange(1, n + 1, dtype=np.int8)
-    inv = lookup[keys(inverses)]
-    return GroupData(n, elements, index, table, inv)
+    return GroupData(n, elements, index, perm_table, twist, inv)
 
 
 @lru_cache(maxsize=None)
 def class_sweep(n: int) -> np.ndarray:
-    """Read-only int32 array with ``conj[c, x]`` the index of x g_c x^{-1},
+    """Read-only array with ``conj[c, x]`` the index of x g_c x^{-1},
     where g_c is the standard representative of the c-th class of
-    ``signed_partitions(n)`` (20 x 384 at n = 4, 36 x 3840 at n = 5).
+    ``signed_partitions(n)`` (20 x 384 at n = 4, 65 x 46080 at n = 6).
 
     The ideal and induced characters sum one row per class.
     """
     group = get_group(n)
     reps = [group.index[standard_representative(lam)] for lam in signed_partitions(n)]
-    # x g_c x^-1 = table[table[x, g_c], inv[x]]
-    conj = group.table[group.table[:, reps].T, group.inv]
+    x = np.arange(group.order)
+    conj = np.empty((len(reps), group.order), dtype=np.intp)
+    for c, g in enumerate(reps):  # row by row, so that no temporary holds them all
+        conj[c] = group.mul(group.mul(x, g), group.inv)
     conj.setflags(write=False)
     return conj

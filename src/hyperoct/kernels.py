@@ -5,16 +5,10 @@ c_k = sum over g h = k of a_g b_h.  The factors come as supports (element
 indices) with integer coefficients, the numerators of ``AlgebraElement``;
 the result is the dense ndarray of the product's numerators.
 
-The wreath product.  B_n = Z_2^n x| S_n: every signed permutation is
-uniquely t_e s, a permutation s of {1..n} followed by the sign flip t_e
-of the values in the bitmask e (bit v-1 flips v).  With
-s t_e s^-1 = t_{s.e}, (s.e)_v = e_{s^-1(v)},
-
-    (t_e s)(t_d r) = t_{e xor s.d} (s r),
-
-so an element of Q[B_n] is a 2^n x n! array A[e, s] (``Plan.layout``
-fixes the place of every element; s is the element's S_n-row) and only
-the sign part mixes within a column.  The characters
+The transform.  In the layout of ``hyperoct.groupdata`` an element of
+Q[B_n] is a 2^n x n! array A[e, s] (element e n! + s is t_e s), and by
+the product rule derived there, (t_e s)(t_d r) = t_{e xor s.d} (s r),
+only the sign part mixes within a column.  The characters
 chi_u(e) = (-1)^popcount(u & e) of Z_2^n diagonalize it: with the +-1
 Hadamard matrix H[e, u] = chi_u(e), A^ = H A, and since
 chi_u(s.d) = chi_{u.s}(d) with (u.s)_p = u_{s(p)},
@@ -26,15 +20,15 @@ For each character u that is a row vector times a matrix, so the
 contraction is one batched matrix product over the 2^n characters, and it
 runs over the nonzero S_n-rows s of the left factor only.  Its right
 operand comes from one gather ``Plan.flat[u, s, r]`` = (u.s, s^-1 r) into
-B^: about (n!)^2 2^n multiplications for dense factors where the Cayley
-table's double sum takes |B_n|^2 (16 times fewer at n = 4, 32 at n = 5),
+B^: about (n!)^2 2^n multiplications for dense factors where the double
+sum over pairs takes |B_n|^2 (16 times fewer at n = 4, 32 at n = 5),
 plus three transforms of 2^n x 2^n x n! each.
 
 Side choice.  The anti-involution x*[g] = x[g^-1] reverses products,
 ab = (b* a*)*, and x* has as many nonzero S_n-rows as x (the row of g^-1
 is s^-1).  When b has fewer rows than a the kernel contracts b* a* and
-reads its result through ``Plan.pos_star``, which undoes the *; so the
-contraction always runs over the sparser factor's rows.
+reads its result at the inverses, which undoes the *; so the contraction
+always runs over the sparser factor's rows.
 
 Exact through float64 BLAS (as in FFLAS, Dumas, Giorgi and Pernet, ACM
 TOMS 35, 2008).  Let |a| = sum |a_g|, the same for b.  The terms of each
@@ -67,7 +61,7 @@ recombined as sum C_ij << w*(i+j) on Python integers.
 
 from __future__ import annotations
 
-import itertools
+import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -107,23 +101,34 @@ def _limbs(coef, top: int, width: int, count: int) -> np.ndarray:
     return limbs
 
 
-class Plan(NamedTuple):
-    """The wreath-product layout of B_n, built once per n from the table.
+_scratch = threading.local()
 
-    ``layout[e, s]`` is the index of t_e s, s the s-th permutation of
-    {1..n} in lexicographic order; ``pos`` is its inverse (the place of
-    every element in ``layout.ravel()``) and ``pos_star[g] = pos[g^-1]``;
-    ``row[g]`` is the row of g (its permutation) and ``sinv[s]`` the row of
-    s^-1; ``hadamard[e, u] = chi_u(e)`` and ``unhadamard`` is its inverse,
-    H / 2^n; and ``flat[u, s, r]`` is the place of (u.s, s^-1 r) in a
-    2^n x n! array.
+
+def _gather(hat_b: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``hat_b.take(index, axis=1)`` into a grow-only buffer of the calling
+    thread, valid until the thread's next call.
+
+    At n = 5 the gather of a full product takes 3.7 MB; a fresh array of
+    that size is mapped and page-faulted on every call when the allocator
+    serves it from mmap, which made the idempotents suite at n = 5 three
+    times slower.  One buffer per thread keeps concurrent products apart.
+    """
+    count = len(hat_b) * index.size
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < count:
+        buffer = _scratch.buffer = np.empty(count)
+    out = buffer[:count].reshape(len(hat_b), *index.shape)
+    return hat_b.take(index, axis=1, out=out, mode="clip")  # "raise" would copy
+
+
+class Plan(NamedTuple):
+    """The transform and the gather of the contraction, built once per n.
+
+    ``hadamard[e, u] = chi_u(e)`` and ``unhadamard`` is its inverse,
+    H / 2^n; ``flat[u, s, r]`` is the place of (u.s, s^-1 r) in a
+    2^n x n! array, the index e n! + s of ``hyperoct.groupdata``.
     """
 
-    layout: np.ndarray
-    pos: np.ndarray
-    pos_star: np.ndarray
-    row: np.ndarray
-    sinv: np.ndarray
     hadamard: np.ndarray
     unhadamard: np.ndarray
     flat: np.ndarray
@@ -131,32 +136,15 @@ class Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def plan(n: int) -> Plan:
-    """The wreath-product layout of B_n (2 ms at n = 5)."""
+    """The plan of B_n's products (2 ms at n = 5)."""
     group = get_group(n)
-    table, size = group.table, 1 << n
-    perms = np.array(
-        [group.index[p] for p in itertools.permutations(range(1, n + 1))], dtype=np.intp
-    )
-    flips = np.array(
-        [
-            group.index[tuple(-v if e >> (v - 1) & 1 else v for v in range(1, n + 1))]
-            for e in range(size)
-        ],
-        dtype=np.intp,
-    )
-    k = len(perms)
-    layout = table[flips[:, None], perms[None, :]]  # t_e o s
-    pos = np.empty(group.order, dtype=np.intp)
-    pos[layout.ravel()] = np.arange(group.order)
-    mask, row = np.divmod(pos, k)
-    inverses = group.inv[perms]
-    quotient = row[table[inverses[:, None], perms[None, :]]]  # s^-1 o r
-    # u.s is the sign mask of s^-1 t_u s
-    twisted = mask[table[table[inverses[:, None], flips[None, :]], perms[:, None]]]
-    flat = twisted.T[:, :, None] * k + quotient[None, :, :]
+    size, k = 1 << n, len(group.perm_table)
+    sinv = group.inv[:k]  # the permutations are the first n! elements
+    # u.s = s^-1.u: (s^-1.u)_p = u_{s(p)}
+    flat = group.twist[sinv].T[:, :, None] * k + group.perm_table[sinv][None, :, :]
     e = np.arange(size)
     hadamard = 1.0 - 2.0 * (np.bitwise_count(e[:, None] & e[None, :]) & 1)
-    return Plan(layout, pos, pos[group.inv], row, row[inverses], hadamard, hadamard / size, flat)
+    return Plan(hadamard, hadamard / size, flat)
 
 
 def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray:
@@ -165,38 +153,39 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
 
     >>> from hyperoct.groupdata import get_group
     >>> get_group(1).elements
-    ((-1,), (1,))
+    ((1,), (-1,))
     >>> x, y = 2**62 + 3, -(2**70) - 1
-    >>> c = convolve_dense(get_group(1), [0, 1], [x, -x], [0], [y])
+    >>> c = convolve_dense(get_group(1), [0, 1], [x, -x], [1], [y])
     >>> c.tolist() == [-x * y, x * y]
     True
     """
     p = plan(group.n)
-    size, k = p.layout.shape
-    rows_a = np.bincount(p.row[idx_a]).nonzero()[0]
-    rows_b = np.bincount(p.row[idx_b]).nonzero()[0]
+    size, k = len(p.hadamard), len(group.perm_table)
+    idx_a, idx_b = np.asarray(idx_a), np.asarray(idx_b)
+    rows_a = np.bincount(idx_a % k).nonzero()[0]
+    rows_b = np.bincount(idx_b % k).nonzero()[0]
     reverse = len(rows_b) < len(rows_a)
     if reverse:  # contract b* a* over the rows of b*, then undo the *
-        rows, at_a, at_b = p.sinv[rows_b], p.pos_star[idx_b], p.pos_star[idx_a]
+        rows, idx_a, idx_b = group.inv[rows_b], group.inv[idx_b], group.inv[idx_a]
         coef_a, coef_b = coef_b, coef_a
     else:
-        rows, at_a, at_b = rows_a, p.pos[idx_a], p.pos[idx_b]
+        rows = rows_a
     coef_a, coef_b = np.asarray(coef_a), np.asarray(coef_b)
     one_limb = not (coef_a.dtype.hasobject or coef_b.dtype.hasobject)
     if one_limb:
         dense = np.zeros((2, size * k))
-        dense[0][at_a], dense[1][at_b] = coef_a, coef_b
+        dense[0][idx_a], dense[1][idx_b] = coef_a, coef_b
         sum_a, sum_b = map(int, np.add.reduce(np.abs(dense), axis=1).tolist())
         one_limb = (sum_a * sum_b) << group.n < FLOAT64_EXACT
     if one_limb:
         count_a = count_b = 1
     else:
         top_a, top_b = max_abs(coef_a), max_abs(coef_b)
-        width = (53 - ((len(at_a) * len(at_b)) << group.n).bit_length()) // 2
+        width = (53 - ((len(idx_a) * len(idx_b)) << group.n).bit_length()) // 2
         count_a, count_b = (max(1, -(-top.bit_length() // width)) for top in (top_a, top_b))
         dense = np.zeros((count_a + count_b, size * k))
-        dense[:count_a, at_a] = _limbs(coef_a, top_a, width, count_a)
-        dense[count_a:, at_b] = _limbs(coef_b, top_b, width, count_b)
+        dense[:count_a, idx_a] = _limbs(coef_a, top_a, width, count_a)
+        dense[count_a:, idx_b] = _limbs(coef_b, top_b, width, count_b)
     dense = dense.reshape(-1, size, k)
     if len(rows) == k:  # every row: the plan's own index, no copies
         left, index = dense[:count_a], p.flat
@@ -205,7 +194,7 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
     # hat_a[u, i, s] for limb i of a, hat_b[j, u k + r] for limb j of b
     hat_a = np.matmul(p.hadamard, left).transpose(1, 0, 2)
     hat_b = np.matmul(p.hadamard, dense[count_a:]).reshape(count_b, -1)
-    gathered = hat_b.take(index, axis=1)
+    gathered = _gather(hat_b, index)
     hat_c = np.matmul(hat_a, gathered).reshape(count_b, size, -1)
     prod = np.matmul(p.unhadamard, hat_c).astype(np.int64)
     if count_a == count_b == 1:
@@ -216,4 +205,4 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
         out = sum(
             prod[i, j] << width * (i + j) for i in range(count_a) for j in range(count_b)
         )
-    return out[p.pos_star if reverse else p.pos]
+    return out[group.inv] if reverse else out

@@ -218,6 +218,13 @@ def test_rho_on_coxeter_centralizer_is_faithful_root():
     assert max(value_order(e) for e in exponents.values()) == 2 * n
 
 
+def test_induced_coxeter_character_at_rank_6():
+    # the centralizer of the negative 6-cycle has order 12, so the induced
+    # character has degree |B_6| / 12
+    chi = induce_character(rho_character(((), (6,))), 6)
+    assert chi.degree == 2**6 * factorial(6) // 12 == 3840
+
+
 def test_rho_character_detects_inconsistent_values(monkeypatch):
     # ((1, 1), (1,)) has ambient order 2; its first generator is the identity
     # (a one-cell block cycle), so labelling it "cycle-" maps 1 to -1

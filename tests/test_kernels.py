@@ -1,6 +1,9 @@
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -17,22 +20,37 @@ from hyperoct.permutations import (
 )
 
 
+def _flip(n, e):
+    """t_e, the sign flip of the values in the bitmask e."""
+    return tuple(-v if e >> (v - 1) & 1 else v for v in range(1, n + 1))
+
+
 def test_group_table_consistency():
-    for n in (2, 3):
+    # element e n! + s is t_e o s, and mul and inv agree with compose and
+    # inverse on all pairs, as scalars and broadcast over index arrays
+    for n in (1, 2, 3):
         group = get_group(n)
-        assert group.table.shape == (group.order, group.order)
+        perms = sorted(itertools.permutations(range(1, n + 1)))
+        k = len(perms)
+        assert group.order == len(group.index) == 2**n * k
+        for e in range(2**n):
+            for s, perm in enumerate(perms):
+                assert group.elements[e * k + s] == compose(_flip(n, e), perm)
+        everything = np.arange(group.order)
+        products = group.mul(everything[:, None], everything[None, :])
         for i, g in enumerate(group.elements):
             assert group.index[g] == i
             assert group.elements[group.inv[i]] == inverse(g)
             for j, h in enumerate(group.elements):
-                assert group.elements[group.table[i, j]] == compose(g, h)
+                assert group.elements[group.mul(i, j)] == compose(g, h)
+                assert products[i, j] == group.mul(i, j)
 
 
 def test_conjugates_column():
     # row c of class_sweep is the conjugates column of g_c: it hits each
     # element of the class of g_c exactly |C(g_c)| times, and the rows'
     # classes partition B_n (class sizes from the closed formula)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 6):
         order = get_group(n).order
         covered = np.zeros(order, dtype=np.intp)
         for row, lam in zip(class_sweep(n), signed_partitions(n)):
@@ -79,7 +97,7 @@ def _reference_convolution(group, idx_a, coef_a, idx_b, coef_b):
     """The row-gather kernel that the wreath-product kernel replaced:
     c[k] = sum_i a_i b[idx(g_i^-1 g_k)] contracted over the smaller support
     (through ab = (b* a*)* when that is b's), from rows of the Cayley table
-    gathered in blocks and multiplied in float64; one limb while
+    computed in blocks by ``group.mul`` and multiplied in float64; one limb while
     max|a| max|b| m < 2^53, limbs of floor((53 - bitlen(m)) / 2) bits past
     it, recombined on Python integers."""
     reverse = len(idx_b) < len(idx_a)
@@ -103,7 +121,7 @@ def _reference_convolution(group, idx_a, coef_a, idx_b, coef_b):
     prod = np.zeros((count_small, count_big, group.order))
     step = max(1, 2**16 // group.order)
     for start in range(0, m, step):
-        idx = group.table[rows[start : start + step]]
+        idx = group.mul(np.asarray(rows[start : start + step])[:, None], np.arange(group.order))
         for j in range(count_big):
             prod[:, j] += small_limbs[:, start : start + step].dot(dense[j][idx])
     prod = prod.astype(np.int64).astype(object)
@@ -115,7 +133,7 @@ def _reference_convolution(group, idx_a, coef_a, idx_b, coef_b):
 
 def _row_count(n, idx):
     """The number of S_n-rows (permutations |g|) the elements of idx span."""
-    return len(set(kernels.plan(n).row[idx].tolist()))
+    return len({i % factorial(n) for i in idx})
 
 
 def _one_limb(n, coef_a, coef_b) -> bool:
@@ -275,9 +293,9 @@ def test_convolve_dense_on_limbs_past_int64(monkeypatch, n, size_a, size_b, bits
 
 def _support(rng, n, rows, per_row):
     """``per_row`` random elements in each of ``rows`` random S_n-rows."""
-    layout = kernels.plan(n).layout
-    picked = rng.sample(range(layout.shape[1]), rows)
-    return [int(layout[e, s]) for s in picked for e in rng.sample(range(layout.shape[0]), per_row)]
+    k = factorial(n)
+    picked = rng.sample(range(k), rows)
+    return [e * k + s for s in picked for e in rng.sample(range(2**n), per_row)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -285,7 +303,7 @@ def test_convolve_dense_matches_row_gather_reference(n):
     # sparse, mid and full supports in both orders, so both side choices
     # run, on one limb and on several; 20 products at n = 5
     rng = random.Random(12 + n)
-    size, k = kernels.plan(n).layout.shape
+    size, k = 2**n, factorial(n)
     shapes = [
         ((1, 1), (k, size)),
         ((min(2, k), 1), (min(3, k), min(2, size))),
@@ -331,34 +349,35 @@ def test_contraction_runs_over_the_factor_with_fewer_rows(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_plan_matches_the_cayley_table(n):
     group, p = get_group(n), kernels.plan(n)
-    size, k = p.layout.shape
-    perms = sorted(itertools.permutations(range(1, n + 1)))
-    flips = [tuple(-v if e >> (v - 1) & 1 else v for v in range(1, n + 1)) for e in range(size)]
-    # layout is a bijection onto B_n, with layout[e, s] = t_e o s
-    assert sorted(p.layout.ravel().tolist()) == list(range(group.order))
-    for e, flip in enumerate(flips):
-        for s, perm in enumerate(perms):
-            assert group.elements[p.layout[e, s]] == compose(flip, perm)
-    assert (p.pos[p.layout.ravel()] == np.arange(group.order)).all()
-    assert (p.pos_star == p.pos[group.inv]).all()
-    assert (p.row == p.pos % k).all()
-    sig = p.layout[0]  # the permutations s
-    assert (sig[p.sinv] == group.inv[sig]).all()
+    size, k = 2**n, factorial(n)
     chi = [[(-1) ** bin(e & u).count("1") for u in range(size)] for e in range(size)]
     assert p.hadamard.tolist() == chi
     assert (p.unhadamard * size == p.hadamard).all()
     # flat[u, s, r] = (u.s, s^-1 r), where chi_u(s.d) = chi_{u.s}(d) for
     # every sign mask d and s.d is the sign mask of s t_d s^-1
     twist, quotient = np.divmod(p.flat, k)
-    left = group.table[group.inv[sig][:, None], sig[None, :]]
-    assert (sig[quotient] == left[None]).all()
-    conj = group.table[group.table[sig[:, None], p.layout[:, 0][None, :]], group.inv[sig][:, None]]
-    moved = p.pos[conj] // k  # [s, d]
-    masks = np.arange(size)
+    perms = np.arange(k)  # the permutations s are the elements 0..n!-1
+    left = group.mul(group.inv[perms][:, None], perms[None, :])
+    assert (quotient == left[None]).all()
+    masks = np.arange(size)  # t_d is the element d n!
+    conj = group.mul(group.mul(perms[:, None], masks[None, :] * k), group.inv[perms][:, None])
+    assert (conj % k == 0).all()
+    moved = conj // k  # [s, d]
     parity = lambda x: np.bitwise_count(x) & 1  # noqa: E731
     for s in range(k):
         want = parity(masks[:, None] & moved[s][None, :])  # [u, d]
         assert (parity(twist[:, s, :, None] & masks) == want[:, None, :]).all()
+
+
+def test_no_array_grows_with_the_square_of_the_group():
+    # products are index arithmetic on the S_n table and the sign twist:
+    # nothing held per n has |B_n|^2 entries
+    n = 4
+    group, p = get_group(n), kernels.plan(n)
+    held = [*vars(group).values(), *p]
+    arrays = [x for x in held if isinstance(x, np.ndarray)]
+    assert len(arrays) == 6
+    assert max(x.size for x in arrays) < group.order**2 // 8
 
 
 def test_convolution_matches_definition():
@@ -378,3 +397,36 @@ def test_convolution_matches_definition():
     expected = {k: v for k, v in expected.items() if v}
     assert (a * b).coeffs == expected
 
+
+def test_concurrent_products_keep_their_own_gather():
+    # the kernel gathers into a buffer of the calling thread: products
+    # running in more threads than cores must not read each other's gather
+    # (at n = 5: one buffer shared by the threads gives wrong products
+    # there, and showed none at n = 4)
+    n, rounds = 5, 10
+    group = get_group(n)
+    rng = random.Random(41)
+    inputs = [
+        ([*range(group.order)], [rng.randint(-9, 9) for _ in range(group.order)])
+        for _ in range(4)
+    ]
+    expected = [kernels.convolve_dense(group, *x, *x).tolist() for x in inputs]
+    wrong = []
+
+    def work(t):
+        for _ in range(rounds):
+            if kernels.convolve_dense(group, *inputs[t], *inputs[t]).tolist() != expected[t]:
+                wrong.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
