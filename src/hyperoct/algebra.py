@@ -8,12 +8,12 @@ operations followed by one gcd; products go through the convolution
 kernel (hyperoct.kernels).  ``coeffs`` gives the {signed permutation:
 Fraction} view for reading.
 
-The idempotents built here live in the Mantaci-Reutenauer subalgebra: the
-shape-sum basis, the classical descent-set sums of the symmetric group,
-the Reutenauer idempotent on a letter block, the +/- sign-averaging
-projectors, and their assembled products, summed over reorderings of a
-signed composition.  The sign-forgetting projection relates the assembled
-family to the classical Eulerian idempotents of the symmetric group.
+The idempotents built here live in the Mantaci-Reutenauer subalgebra:
+a descent-set sum of the symmetric group times the closed-form block
+factor of a composition, one product each, averaged over the reorderings
+of the parts.  Without the sign projectors in the block factor the same
+construction gives the classical Eulerian idempotents of the symmetric
+group, which the sign-forgetting projection relates to the B_n family.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
+from numbers import Rational
 
 import numpy as np
 
@@ -42,6 +43,13 @@ from .permutations import (
     perm_to_str,
     signed_partitions,
 )
+
+
+def _ratio(c) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of an exact rational."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient {c!r} is not an exact rational")
+    return Fraction(c).as_integer_ratio()
 
 
 class AlgebraElement:
@@ -67,7 +75,7 @@ class AlgebraElement:
         coeffs = coeffs or {}
         # a Fraction is already reduced; a zero is (0, 1) and stays zero
         ratios = [
-            (c if type(c) is Fraction else Fraction(c)).as_integer_ratio()
+            c.as_integer_ratio() if type(c) is Fraction else _ratio(c)
             for c in coeffs.values()
         ]
         nums, dens = zip(*ratios) if ratios else ((), ())
@@ -140,6 +148,8 @@ class AlgebraElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "AlgebraElement":
+        if not isinstance(scalar, Rational):
+            return NotImplemented
         if self.is_zero():
             return self
         p, q = Fraction(scalar).as_integer_ratio()
@@ -147,7 +157,7 @@ class AlgebraElement:
         return AlgebraElement._reduced(self.n, num * p, self.den * q)
 
     def __mul__(self, other) -> "AlgebraElement":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, AlgebraElement):
             return self.__rmul__(other)
         self._check(other)
         idx_a, idx_b = np.flatnonzero(self.num), np.flatnonzero(other.num)
@@ -230,70 +240,72 @@ def x_basis(n: int, subset) -> AlgebraElement:
     )
 
 
-def _relabel(w: tuple[int, ...], letters: tuple[int, ...], n: int) -> SignedPerm:
-    """Embed w in S_m as the permutation of the sorted letters, fixing the rest."""
-    img = list(range(1, n + 1))
-    for pos, wi in zip(letters, w):
-        img[pos - 1] = letters[wi - 1]
-    return tuple(img)
+def block_factor(p: SignedComposition, signed: bool = True) -> AlgebraElement:
+    """F_p = prod_j eps_j R_j over the blocks of p, in closed form.
 
+    R_j, Reutenauer's idempotent sum_A (-1)^|A|/(|A|+1) X_A on the m letters
+    of block j, has at a block permutation with d descents the coefficient
+    sum_{A >= Des} (-1)^|A|/(|A|+1) = (-1)^d int_0^1 x^d (1-x)^(m-1-d) dx
+    = (-1)^d d! (m-1-d)!/m!.  eps_j = (1 + s_j w0_j)/2 with s_j the sign of
+    part j and w0_j the flip of the block's letters, which commutes with
+    the block's permutations; so flipping block j multiplies a coefficient
+    by s_j.  ``signed=False`` leaves the eps_j out (the Type A factor).
 
-def reutenauer_idempotent(n: int, letters) -> AlgebraElement:
-    """The alternating descent-sum idempotent on a block of letters.
-
-    sum over A of (-1)^|A| / (|A|+1) X_A, relabeled from 1..m onto the
-    (sorted) letters; an idempotent of the symmetric group on that block.
+    >>> f = block_factor((2,), signed=False)
+    >>> f.num.tolist(), f.den
+    ([1, -1, 0, 0, 0, 0, 0, 0], 2)
+    >>> f = block_factor((-1, 1))
+    >>> f.num.tolist(), f.den
+    ([1, 0, -1, 0, 1, 0, -1, 0], 4)
     """
-    letters = tuple(sorted(letters))
-    if not letters:
-        raise ValueError("letter block must be nonempty")
-    m = len(letters)
-    weights: dict[frozenset[int], Fraction] = {}
-    for r in range(m):
-        for subset in itertools.combinations(range(1, m), r):
-            weights[frozenset(subset)] = Fraction((-1) ** r, r + 1)
-    coeffs: dict[SignedPerm, Fraction] = {}
-    for w in itertools.permutations(range(1, m + 1)):
-        des = descent_set(w)
-        c = sum(
-            (wt for sub, wt in weights.items() if des <= sub), Fraction(0)
-        )
-        if c:
-            coeffs[_relabel(w, letters, n)] = c
-    return AlgebraElement(n, coeffs)
-
-
-def epsilon(n: int, letters, sign: int) -> AlgebraElement:
-    """Sign-averaging projector (1 +/- w_0 on the block)/2."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    w0j = identity(n)
-    for i in letters:
-        w0j = tuple(-x if abs(x) == i else x for x in w0j)
-    coeffs = {identity(n): Fraction(1, 2)}
-    coeffs[w0j] = coeffs.get(w0j, Fraction(0)) + Fraction(sign, 2)
-    return AlgebraElement(n, coeffs)
+    n = sum(abs(part) for part in p)
+    group = get_group(n)
+    # (one-line word, integer numerator) of the block permutations so far
+    terms: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for block in composition_blocks(p):
+        m = len(block)
+        weights = [(-1) ** d * factorial(d) * factorial(m - 1 - d) for d in range(m)]
+        words = [(w, weights[len(descent_set(w))]) for w in itertools.permutations(block)]
+        terms = [(u + w, a * b) for u, a in terms for w, b in words]
+    idx = np.array([group.index[w] for w, _ in terms], dtype=np.intp)
+    # |numerator| <= prod (m_j - 1)! <= (n - 1)!, far inside int64
+    num = np.array([c for _, c in terms], dtype=np.int64)
+    den = prod(factorial(abs(part)) for part in p)
+    if signed:
+        # t_e s has index e * n! + s, and flips of disjoint blocks add masks
+        for part, block in zip(p, composition_blocks(p)):
+            mask = sum(1 << (v - 1) for v in block)
+            idx = np.concatenate([idx, idx + mask * factorial(n)])
+            num = np.concatenate([num, num if part > 0 else -num])
+        den <<= len(p)
+    out = np.zeros(group.order, dtype=np.int64)
+    out[idx] = num
+    return AlgebraElement._reduced(n, out, den)
 
 
 def i_p(p: SignedComposition) -> AlgebraElement:
-    """Descent sum times the per-block projector/idempotent chain for p."""
-    n = sum(abs(x) for x in p)
-    out = x_basis(n, composition_partial_sums(p))
-    for part, block in zip(p, composition_blocks(p)):
-        out = out * epsilon(n, block, 1 if part > 0 else -1)
-        out = out * reutenauer_idempotent(n, block)
-    return out
+    """The descent sum of p times its block factor: X_A F_p, A the partial
+    sums of |p|."""
+    return _chain(p, signed=True)
+
+
+def _chain(p, signed: bool) -> AlgebraElement:
+    n = sum(abs(part) for part in p)
+    return x_basis(n, composition_partial_sums(p)) * block_factor(p, signed)
+
+
+def _reordering_average(parts: tuple[int, ...], signed: bool) -> AlgebraElement:
+    """The average of the chains over the distinct reorderings of the parts."""
+    chains = (_chain(p, signed) for p in distinct_reorderings(parts))
+    total = sum(chains, AlgebraElement.zero(sum(abs(part) for part in parts)))
+    return Fraction(1, factorial(len(parts))) * total
 
 
 @lru_cache(maxsize=None)
 def vazirani_idempotent(lam: SignedPartition) -> AlgebraElement:
     """Orthogonal idempotent attached to a signed partition: the average of
     the composition chains over all reorderings of the parts."""
-    parts = lam[0] + tuple(-x for x in lam[1])
-    total = AlgebraElement.zero(sum(lam[0]) + sum(lam[1]))
-    for p in distinct_reorderings(parts):
-        total = total + i_p(p)
-    return Fraction(1, factorial(len(parts))) * total
+    return _reordering_average(lam[0] + tuple(-x for x in lam[1]), signed=True)
 
 
 def g_k(n: int, k: int) -> AlgebraElement:
@@ -316,12 +328,7 @@ def eulerian_idempotents_typeA(
     e_k (k = 0..n-1) collects the partition idempotents with k+1 parts.
     Supports are unsigned permutations, embedded in B_n.
     """
-    by_partition: dict[tuple[int, ...], AlgebraElement] = {}
-    for lam in partitions(n):
-        total = AlgebraElement.zero(n)
-        for p in distinct_reorderings(lam):
-            total = total + _gr_chain(n, p)
-        by_partition[lam] = Fraction(1, factorial(len(lam))) * total
+    by_partition = {lam: _reordering_average(lam, signed=False) for lam in partitions(n)}
     e_ks = []
     for k in range(n):
         ek = AlgebraElement.zero(n)
@@ -330,14 +337,6 @@ def eulerian_idempotents_typeA(
                 ek = ek + e
         e_ks.append(ek)
     return by_partition, tuple(e_ks)
-
-
-def _gr_chain(n: int, p: tuple[int, ...]) -> AlgebraElement:
-    comp: SignedComposition = tuple(p)
-    out = x_basis(n, composition_partial_sums(comp))
-    for block in composition_blocks(comp):
-        out = out * reutenauer_idempotent(n, block)
-    return out
 
 
 def tau_map(x: AlgebraElement) -> AlgebraElement:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,11 +11,10 @@ import pytest
 from hyperoct import kernels
 from hyperoct.algebra import (
     AlgebraElement,
-    epsilon,
+    block_factor,
     eulerian_idempotents_typeA,
     g_k,
     i_p,
-    reutenauer_idempotent,
     right_ideal_character,
     right_ideal_dimension_by_rank,
     tau_map,
@@ -23,11 +25,16 @@ from hyperoct.algebra import (
 from hyperoct.characters import character_table
 from hyperoct.groupdata import get_group
 from hyperoct.permutations import (
+    SignedPerm,
     all_signed_perms,
     compose,
+    composition_blocks,
+    composition_partial_sums,
+    descent_set,
     group_order,
     identity,
     inverse,
+    partitions,
     sign_change,
     signed_compositions,
     signed_partitions,
@@ -61,8 +68,8 @@ def test_product_coefficients_are_reduced_nonzero_fractions():
             3, {g: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4, 6))) for g in support}
         )
 
-    # the projectors cancel to coefficients 1/2 (from 2/4) and to zero
-    plus, minus = epsilon(3, (1, 2), 1), epsilon(3, (1, 2), -1)
+    # the projectors cancel to coefficients 1/8 (from 8/64) and to zero
+    plus, minus = block_factor((1, 1, 1)), block_factor((1, -1, 1))
     products = [plus * plus, plus * minus, plus * rand_elt(20)]
     products += [rand_elt(sa) * rand_elt(sb) for sa, sb in ((1, 2), (5, 40), (48, 48))]
     assert plus * plus == plus and (plus * minus).is_zero()
@@ -71,6 +78,25 @@ def test_product_coefficients_are_reduced_nonzero_fractions():
             assert type(c) is Fraction and c != 0
             assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
         assert x == AlgebraElement(3, x.coeffs)
+
+
+def test_scalars_must_be_exact_rationals():
+    g = (2, 1, 3)
+    x = AlgebraElement(3, {g: Fraction(3, 4), (1, 2, 3): Fraction(-2)})
+    for bad in ("1/2", 0.1, 0.5, np.float64(0.5), None):
+        with pytest.raises(TypeError):
+            bad * x
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            AlgebraElement(3, {g: bad})
+    for scalar in (3, Fraction(-3, 2), np.int64(3), np.int32(-2), True):
+        c = Fraction(scalar)
+        expected = AlgebraElement(3, {g: Fraction(3, 4) * c, (1, 2, 3): -2 * c})
+        assert scalar * x == expected and x * scalar == expected
+    assert AlgebraElement(3, {g: np.int64(4), (1, 2, 3): 2}) == AlgebraElement(
+        3, {g: Fraction(4), (1, 2, 3): Fraction(2)}
+    )
 
 
 def test_multiply_rank_mismatch():
@@ -95,31 +121,39 @@ def test_x_basis_examples():
 
 
 def test_reutenauer_idempotent_rank_two():
-    r = reutenauer_idempotent(2, (1, 2))
+    r = block_factor((2,), signed=False)
     assert r == AlgebraElement(
         2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)}
     )
-    assert reutenauer_idempotent(3, (2,)) == AlgebraElement.unit(3)
+    # the idempotent on a single letter is the unit
+    assert block_factor((1, 1, 1), signed=False) == AlgebraElement.unit(3)
 
 
 def test_reutenauer_idempotent_squares():
     for m in (1, 2, 3, 4):
-        r = reutenauer_idempotent(m, tuple(range(1, m + 1)))
+        r = block_factor((m,), signed=False)
         assert r * r == r
     # on a non-initial block inside a larger rank
-    r = reutenauer_idempotent(4, (2, 3, 4))
+    r = block_factor((1, 3), signed=False)
     assert r * r == r
 
 
 def test_epsilon_projectors():
-    n = 1
-    assert epsilon(n, (), 1) == AlgebraElement.unit(n)
-    assert epsilon(n, (), -1).is_zero()
     t1 = AlgebraElement.basis(sign_change(1, 1))
-    assert epsilon(1, (1,), -1) == half(AlgebraElement.unit(1) - t1)
-    p, m = epsilon(2, (1, 2), 1), epsilon(2, (1, 2), -1)
-    assert (p * m).is_zero()
-    assert p + m == AlgebraElement.unit(2)
+    assert block_factor((-1,)) == half(AlgebraElement.unit(1) - t1)
+    p, m = block_factor((1,)), block_factor((-1,))
+    assert (p * m).is_zero() and (m * p).is_zero()
+    assert p + m == AlgebraElement.unit(1)
+    # the four sign projectors on two letters, one letter per block
+    family = [block_factor(s) for s in itertools.product((1, -1), repeat=2)]
+    for i, a in enumerate(family):
+        for j, b in enumerate(family):
+            assert a * b == (a if i == j else AlgebraElement.zero(2))
+    assert sum(family, AlgebraElement.zero(2)) == AlgebraElement.unit(2)
+    # on one block of two letters they split the block's idempotent
+    p, m = block_factor((2,)), block_factor((-2,))
+    assert (p * m).is_zero() and (m * p).is_zero()
+    assert p + m == block_factor((2,), signed=False)
 
 
 def test_composition_chain_rank_one():
@@ -129,10 +163,116 @@ def test_composition_chain_rank_one():
 
 
 def test_composition_chain_single_positive_block():
+    # one block: the descent sum is the unit, so i_p is the block factor
     n = 3
+    assert i_p((n,)) == block_factor((n,))
     assert i_p((n,)) == epsilon(n, range(1, n + 1), 1) * reutenauer_idempotent(
         n, range(1, n + 1)
     )
+
+
+# -- the closed-form block factor against the factor-by-factor chain ----------
+# _relabel, reutenauer_idempotent and epsilon are the library's own chain
+# factors from before the closed form, kept as its reference
+
+
+def _relabel(w: tuple[int, ...], letters: tuple[int, ...], n: int) -> SignedPerm:
+    """Embed w in S_m as the permutation of the sorted letters, fixing the rest."""
+    img = list(range(1, n + 1))
+    for pos, wi in zip(letters, w):
+        img[pos - 1] = letters[wi - 1]
+    return tuple(img)
+
+
+def reutenauer_idempotent(n: int, letters) -> AlgebraElement:
+    """The alternating descent-sum idempotent on a block of letters.
+
+    sum over A of (-1)^|A| / (|A|+1) X_A, relabeled from 1..m onto the
+    (sorted) letters; an idempotent of the symmetric group on that block.
+    """
+    letters = tuple(sorted(letters))
+    if not letters:
+        raise ValueError("letter block must be nonempty")
+    m = len(letters)
+    weights: dict[frozenset[int], Fraction] = {}
+    for r in range(m):
+        for subset in itertools.combinations(range(1, m), r):
+            weights[frozenset(subset)] = Fraction((-1) ** r, r + 1)
+    coeffs: dict[SignedPerm, Fraction] = {}
+    for w in itertools.permutations(range(1, m + 1)):
+        des = descent_set(w)
+        c = sum(
+            (wt for sub, wt in weights.items() if des <= sub), Fraction(0)
+        )
+        if c:
+            coeffs[_relabel(w, letters, n)] = c
+    return AlgebraElement(n, coeffs)
+
+
+def epsilon(n: int, letters, sign: int) -> AlgebraElement:
+    """Sign-averaging projector (1 +/- w_0 on the block)/2."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    w0j = identity(n)
+    for i in letters:
+        w0j = tuple(-x if abs(x) == i else x for x in w0j)
+    coeffs = {identity(n): Fraction(1, 2)}
+    coeffs[w0j] = coeffs.get(w0j, Fraction(0)) + Fraction(sign, 2)
+    return AlgebraElement(n, coeffs)
+
+
+def _reference_factor(p, signed=True):
+    """eps_j R_j block by block (R_j alone unsigned), one factor at a time."""
+    n = sum(map(abs, p))
+    out = AlgebraElement.unit(n)
+    for part, block in zip(p, composition_blocks(p)):
+        if signed:
+            out = out * epsilon(n, block, 1 if part > 0 else -1)
+        out = out * reutenauer_idempotent(n, block)
+    return out
+
+
+def _reference_chain(p, signed=True):
+    n = sum(map(abs, p))
+    return x_basis(n, composition_partial_sums(p)) * _reference_factor(p, signed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_factor_is_the_product_of_the_block_factors(n):
+    for p in signed_compositions(n):
+        assert block_factor(p) == _reference_factor(p), p
+        assert i_p(p) == _reference_chain(p), p
+        if min(p) > 0:
+            assert block_factor(p, signed=False) == _reference_factor(p, signed=False), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_idempotents_match_the_reference_chain(n):
+    for lam in signed_partitions(n):
+        parts = lam[0] + tuple(-x for x in lam[1])
+        reorderings = set(itertools.permutations(parts))
+        total = sum(map(_reference_chain, reorderings), AlgebraElement.zero(n))
+        assert vazirani_idempotent(lam) == Fraction(1, math.factorial(len(parts))) * total
+    by_lam, _ = eulerian_idempotents_typeA(n)
+    for lam in partitions(n):
+        reorderings = set(itertools.permutations(lam))
+        total = sum((_reference_chain(p, False) for p in reorderings), AlgebraElement.zero(n))
+        assert by_lam[lam] == Fraction(1, math.factorial(len(lam))) * total
+
+
+# sha256 of json [[num, den], ...] over vazirani_idempotent(lam) for lam in
+# signed_partitions(5), then the Eulerian idempotents of partitions(5) and
+# the e_k of rank 5, as the factor-by-factor chain built them
+IDEMPOTENTS_N5_SHA256 = "1fd59c11c39b9c601b2146743186c053f2a966d0cccab43bad66c66f0438f39f"
+
+
+def test_idempotents_at_rank_five_keep_their_values():
+    elements = [vazirani_idempotent(lam) for lam in signed_partitions(5)]
+    by_lam, e_ks = eulerian_idempotents_typeA(5)
+    elements += list(by_lam.values()) + list(e_ks)
+    assert len(elements) == 48
+    payload = json.dumps([[e.num.tolist(), e.den] for e in elements])
+    assert hashlib.sha256(payload.encode()).hexdigest() == IDEMPOTENTS_N5_SHA256
 
 
 def test_top_count_idempotent_is_the_finest_positive_one():
