@@ -29,7 +29,6 @@ import numpy as np
 from . import kernels
 from .characters import ClassFunction, divide_exactly
 from .groupdata import class_sweep, get_group
-from .linalg import rank_exact
 from .permutations import (
     SignedComposition,
     SignedPartition,
@@ -131,6 +130,8 @@ class AlgebraElement:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check(other)
         if other.is_zero():
             return self
@@ -145,6 +146,8 @@ class AlgebraElement:
         return AlgebraElement._reduced(self.n, a * sa + b * sb, den)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "AlgebraElement":
@@ -283,13 +286,9 @@ def block_factor(p: SignedComposition, signed: bool = True) -> AlgebraElement:
     return AlgebraElement._reduced(n, out, den)
 
 
-def i_p(p: SignedComposition) -> AlgebraElement:
+def _chain(p, signed: bool) -> AlgebraElement:
     """The descent sum of p times its block factor: X_A F_p, A the partial
     sums of |p|."""
-    return _chain(p, signed=True)
-
-
-def _chain(p, signed: bool) -> AlgebraElement:
     n = sum(abs(part) for part in p)
     return x_basis(n, composition_partial_sums(p)) * block_factor(p, signed)
 
@@ -374,17 +373,6 @@ def right_ideal_character(e: AlgebraElement) -> ClassFunction:
     # inv[x g_c x^-1] is the index of x g_c^-1 x^-1
     sums = num[group.inv[class_sweep(n)]].sum(axis=1)
     return divide_exactly(n, sums.tolist(), e.den)
-
-
-def right_ideal_dimension_by_rank(e: AlgebraElement) -> int:
-    """Independent oracle: rank of left multiplication by e on the group basis."""
-    group = get_group(e.n)
-    rows = [[Fraction(0)] * group.order for _ in range(group.order)]
-    for g, c in e.coeffs.items():
-        # column y of the matrix is e*y; entry at row g y
-        for y, gy in enumerate(group.mul(group.index[g], np.arange(group.order)).tolist()):
-            rows[gy][y] += c
-    return rank_exact(rows)
 
 
 def distinct_reorderings(lam) -> list[tuple[int, ...]]:

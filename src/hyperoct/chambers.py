@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import full_rank_certificate
 from .permutations import SignedPerm, apply
-from .rings import RingElement, get_ring
+from .rings import get_ring
 
 Chamber = tuple[int, ...]  # encoded letters, length n, distinct moduli in 2..n+1
 
@@ -99,22 +99,6 @@ def evaluate_z(gen, ch: Chamber) -> int:
         return evaluate_y(ZERO, letter(gen[0]), letter(gen[1]), ch)
     i, j, s = gen
     return evaluate_y(ZERO, letter(i), letter(s * j), ch)
-
-
-def evaluate_element(x: RingElement, ch: Chamber) -> int:
-    """Pointwise value of a d = 1 ring element on a chamber."""
-    if x.ring.graded:
-        raise ValueError("pointwise evaluation is for the d = 1 spaces")
-    total = 0
-    for m, c in x.terms.items():
-        v = 1
-        for g in m:
-            v &= evaluate_z(g, ch)
-            if not v:
-                break
-        if v:
-            total += c
-    return total
 
 
 def chamber_action(sigma: SignedPerm, ch: Chamber) -> Chamber:

@@ -10,15 +10,30 @@ suite; the traceback goes to stderr).  A character that cannot be
 computed exactly fails its check (exit 1).  Set HYPEROCT_CACHE to a
 directory to persist the rings' rewrite tables between runs; reports are
 deterministic apart from elapsed_ms.
+
+The CLI process runs numpy's BLAS on one thread: it sets
+OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is already set, so setting one of them overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
-from .suites import SUITE_BOUNDS, SUITE_ORDER, SuiteUsageError, run_suite
+# Before numpy loads, which starts the BLAS worker threads.  No product of
+# hyperoct gains from a second thread (each BLAS call multiplies a
+# character's row by a matrix), while OpenBLAS's idle worker spins on a
+# core: on 2 vCPUs `verify all --n 4` spent 0.69 CPU-s in 0.57 s of wall
+# time with it and 0.55 in 0.55 s without (medians of 10 benchmark runs,
+# BENCH_16.json).  Only the CLI sets this, since a library import must not
+# rewrite its host's environment.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .suites import SUITE_BOUNDS, SUITE_ORDER, SuiteUsageError, run_suite  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -126,12 +126,15 @@ class Plan(NamedTuple):
 
     ``hadamard[e, u] = chi_u(e)`` and ``unhadamard`` is its inverse,
     H / 2^n; ``flat[u, s, r]`` is the place of (u.s, s^-1 r) in a
-    2^n x n! array, the index e n! + s of ``hyperoct.groupdata``.
+    2^n x n! array, the index e n! + s of ``hyperoct.groupdata``;
+    ``row[e n! + s] = s``, the S_n row of each element (a gather, where
+    numpy's int64 remainder by a scalar takes twice as long).
     """
 
     hadamard: np.ndarray
     unhadamard: np.ndarray
     flat: np.ndarray
+    row: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +147,7 @@ def plan(n: int) -> Plan:
     flat = group.twist[sinv].T[:, :, None] * k + group.perm_table[sinv][None, :, :]
     e = np.arange(size)
     hadamard = 1.0 - 2.0 * (np.bitwise_count(e[:, None] & e[None, :]) & 1)
-    return Plan(hadamard, hadamard / size, flat)
+    return Plan(hadamard, hadamard / size, flat, np.tile(np.arange(k), size))
 
 
 def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray:
@@ -162,8 +165,8 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
     p = plan(group.n)
     size, k = len(p.hadamard), len(group.perm_table)
     idx_a, idx_b = np.asarray(idx_a), np.asarray(idx_b)
-    rows_a = np.bincount(idx_a % k).nonzero()[0]
-    rows_b = np.bincount(idx_b % k).nonzero()[0]
+    rows_a = np.bincount(p.row[idx_a]).nonzero()[0]
+    rows_b = np.bincount(p.row[idx_b]).nonzero()[0]
     reverse = len(rows_b) < len(rows_a)
     if reverse:  # contract b* a* over the rows of b*, then undo the *
         rows, idx_a, idx_b = group.inv[rows_b], group.inv[idx_b], group.inv[idx_a]

@@ -115,11 +115,6 @@ def cycle_type(s: SignedPerm) -> SignedPartition:
     return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
 
 
-def forget_signs(s: SignedPerm) -> SignedPerm:
-    """Drop the signs of the one-line entries."""
-    return tuple(abs(x) for x in s)
-
-
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n, weakly decreasing, in reverse-lex order."""
@@ -323,13 +318,6 @@ def composition_blocks(p: SignedComposition) -> tuple[tuple[int, ...], ...]:
         out.append(tuple(range(start, start + size)))
         start += size
     return tuple(out)
-
-
-def composition_sort(p: SignedComposition) -> SignedPartition:
-    """Reorder parts into a signed partition, each sign weakly decreasing."""
-    pos = sorted((x for x in p if x > 0), reverse=True)
-    neg = sorted((-x for x in p if x < 0), reverse=True)
-    return tuple(pos), tuple(neg)
 
 
 def set_partition_shape(alpha: SignedSetPartition) -> SignedPartition:

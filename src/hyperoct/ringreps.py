@@ -99,13 +99,6 @@ def _bidegree(m: Monomial) -> tuple[int, int]:
     return len(m), sum(1 for g in m if len(g) == 1)
 
 
-def bigraded_character(n: int) -> dict[tuple[int, int], ClassFunction]:
-    """Characters of the (total degree, loop degree) pieces of the graded
-    d = 3 ring."""
-    buckets = _basis_buckets("Z3", n, _bidegree)
-    return {key: _bucket_character("Z3", n, pos) for key, pos in buckets.items()}
-
-
 def type_shape(m: Monomial, rank: int) -> SignedPartition:
     return set_partition_shape(type_of(m, rank))
 

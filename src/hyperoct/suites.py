@@ -644,8 +644,6 @@ def _suite_gn1(n: int, rec: _Recorder):
         if dim == expected
         else f"dim = {dim}, expected {expected}",
     )
-    if n > 4:
-        return
     tchar = type_character(lam)
     # eta^a -> w^(a ambient/n), a primitive n-th root; w0 = -1 -> w^(ambient/2)
     eta = tuple(list(range(2, n + 1)) + [1])

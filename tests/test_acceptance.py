@@ -210,6 +210,16 @@ def test_criterion_09_coxeter_type_component():
     _report(9, "dimension 2^(n-1)(n-1)! to n=5; both induced descriptions to n=4")
 
 
+def test_criterion_09_coxeter_type_character_at_the_suite_bound():
+    # the gn1 suite runs its character check, not only the dimension, at n = 5
+    report = run_suite("gn1", 5)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("top-negative-type-dimension", "pass"),
+        ("top-negative-type-character", "pass"),
+    ]
+    _report(9, "gn1 at n=5: dimension and both induced descriptions")
+
+
 def test_criterion_10_hilbert_series():
     for n in range(1, 6):
         coeffs = hilbert_coefficients(n)

