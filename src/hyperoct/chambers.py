@@ -23,20 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import full_rank_certificate
-from .permutations import SignedPerm, apply
+from .permutations import SignedPerm, apply, letter
 from .rings import get_ring
 
 Chamber = tuple[int, ...]  # encoded letters, length n, distinct moduli in 2..n+1
 
 ZERO = 1
 NEG_ZERO = -1
-
-
-def letter(x: int) -> int:
-    """Encode a signed letter 1..n (0 itself is ZERO / NEG_ZERO)."""
-    if x == 0:
-        raise ValueError("use ZERO or NEG_ZERO for the marked letter")
-    return x + 1 if x > 0 else x - 1
 
 
 def letter_to_str(e: int) -> str:

@@ -38,6 +38,7 @@ from .permutations import (
     class_size,
     compose,
     group_order,
+    identity,
     signed_partition_to_str,
     signed_partitions,
     standard_representative,
@@ -112,9 +113,13 @@ class ClassFunction:
         )
 
     def __add__(self, other):
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
         return self._binop(other, lambda a, b: a + b)
 
     def __sub__(self, other):
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
         return self._binop(other, lambda a, b: a - b)
 
     def __mul__(self, other):
@@ -264,35 +269,25 @@ def regular_character(n: int) -> ClassFunction:
 # induced characters from explicit subgroups
 
 
-def rho_character(lam: SignedPartition) -> tuple[int, dict[SignedPerm, int]]:
-    """The centralizer of the standard representative with its root-of-unity
-    character, as ``(ambient, exponents)``: g maps to w^exponents[g] for w a
-    primitive ``ambient``-th root of unity.  Block cycles map to primitive
-    roots (order of the cycle), block sign-flips and block swaps to 1.
+def subgroup_character(
+    ambient: int, generators: list[tuple[SignedPerm, int]]
+) -> tuple[int, dict[SignedPerm, int]]:
+    """The 1-dimensional character of the subgroup generated by
+    ``generators``, pairs ``(g, exponent)`` sending g to w^exponent for w a
+    primitive ``ambient``-th root of unity, as ``(ambient, exponents)``.
 
     The exponents are built by multiplicative closure mod ``ambient``; a
-    conflicting exponent on some element raises, certifying
-    well-definedness on every run.
+    conflicting exponent on some element raises ArithmeticError, certifying
+    that the assignment is a homomorphism on every run.
     """
-    n = sum(lam[0]) + sum(lam[1])
-    ambient = lcm(1, *[s for s in lam[0]], *[2 * s for s in lam[1]])
-    gens: list[tuple[SignedPerm, int]] = []
-    for kind, size, g in centralizer_generators_labeled(lam):
-        if kind == "cycle+":
-            exp = ambient // size
-        elif kind == "cycle-":
-            exp = ambient // (2 * size)
-        else:
-            exp = 0
-        gens.append((g, exp))
-    ident = tuple(range(1, n + 1))
+    ident = identity(len(generators[0][0]))
     exponents: dict[SignedPerm, int] = {ident: 0}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
             eg = exponents[g]
-            for h, eh in gens:
+            for h, eh in generators:
                 gh = compose(g, h)
                 egh = (eg + eh) % ambient
                 known = exponents.get(gh)
@@ -305,6 +300,25 @@ def rho_character(lam: SignedPartition) -> tuple[int, dict[SignedPerm, int]]:
                     )
         frontier = nxt
     return ambient, exponents
+
+
+def rho_character(lam: SignedPartition) -> tuple[int, dict[SignedPerm, int]]:
+    """The centralizer of the standard representative with its root-of-unity
+    character, as ``(ambient, exponents)`` (see ``subgroup_character``).
+    Block cycles map to primitive roots (order of the cycle), block
+    sign-flips and block swaps to 1.
+    """
+    ambient = lcm(1, *[s for s in lam[0]], *[2 * s for s in lam[1]])
+    gens: list[tuple[SignedPerm, int]] = []
+    for kind, size, g in centralizer_generators_labeled(lam):
+        if kind == "cycle+":
+            exp = ambient // size
+        elif kind == "cycle-":
+            exp = ambient // (2 * size)
+        else:
+            exp = 0
+        gens.append((g, exp))
+    return subgroup_character(ambient, gens)
 
 
 def induce_character(

@@ -13,7 +13,9 @@ deterministic apart from elapsed_ms.
 
 The CLI process runs numpy's BLAS on one thread: it sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is already set, so setting one of them overrides it.
+OMP_NUM_THREADS is already set, so setting one of them overrides it, or
+numpy is already loaded, when it would take no effect and only pass on to
+child processes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import traceback
 # time with it and 0.55 in 0.55 s without (medians of 10 benchmark runs,
 # BENCH_16.json).  Only the CLI sets this, since a library import must not
 # rewrite its host's environment.
-if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in sys.modules and not _BLAS_THREAD_VARS & set(os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .suites import SUITE_BOUNDS, SUITE_ORDER, SuiteUsageError, run_suite  # noqa: E402

@@ -18,18 +18,25 @@ the graded d = 3 ideal; setting u = 1 recovers generators of the d = 1
 function-ring ideal.  This module is a symbolic checker: polynomials are
 kept in the free ring (no straightening), and the specializations are
 verified by reducing in the target rings.
+
+The orbit is decided in one place, ``PresentedRing.relation_labels`` of
+the d = 1 ring in ``hyperoct.rings``: every loop and pair label over the
+signed indices with its canonical combination, and the label triples of
+R1-R3.  B_n carries any tuple of signed indices with distinct moduli to
+any other, and each generator substitution is a ring map fixing u, so the
+orbit of a family is that family at every label tuple.  Each label is
+homogenized once (a constant c becomes c*u), and R0 is taken at every
+label, the u-triple at every triple.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .permutations import SignedPerm, group_generators
 from .rings import (
     Gen,
-    PresentedRing,
+    RingElement,
     get_ring,
     monomial_order_key,
     monomial_sort,
@@ -50,24 +57,6 @@ def _fmul(p: FreePoly, q: FreePoly) -> FreePoly:
             m = monomial_sort(m1 + m2)
             out[m] = out.get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
-
-
-def _gen(g: Gen) -> FreePoly:
-    return {(g,): 1}
-
-
-def _u_shift(g: Gen) -> FreePoly:
-    return {(g,): 1, (U,): -1}
-
-
-def _divide_u(p: FreePoly) -> FreePoly:
-    out: FreePoly = {}
-    for m, c in p.items():
-        if U not in m:
-            raise ArithmeticError("polynomial is not divisible by u")
-        idx = m.index(U)
-        out[m[:idx] + m[idx + 1 :]] = c
-    return out
 
 
 def _normalize(p: FreePoly) -> tuple:
@@ -93,79 +82,25 @@ class EquivariantRelationSet:
         return len(self.relations)
 
 
-def _triple_relation(x: Gen, y: Gen, z: Gen) -> FreePoly:
-    """u^{-1}( x y (z - u) - (x - u)(y - u) z ), the shape of R1-R3."""
-    return _divide_u(
-        poly_sub(
-            _fmul(_fmul(_gen(x), _gen(y)), _u_shift(z)),
-            _fmul(_fmul(_u_shift(x), _u_shift(y)), _gen(z)),
-        )
-    )
+def _triple_relation(x: FreePoly, y: FreePoly, z: FreePoly) -> FreePoly:
+    """u^{-1}( x y (z - u) - (x - u)(y - u) z ) = (x + y) z - x y - u z,
+    the shape of R1-R3."""
+    return poly_sub(_fmul(poly_add(x, y), z), poly_add(_fmul(x, y), _fmul({(U,): 1}, z)))
 
 
-def _seed_relations(ring: PresentedRing) -> list[FreePoly]:
-    rels = [_fmul(_gen(g), _u_shift(g)) for g in ring.gens]
-    for i, j in itertools.combinations(range(1, ring.rank + 1), 2):
-        zp, zm = (i, j, 1), (i, j, -1)
-        rels.append(_triple_relation(zp, (i,), (j,)))
-        rels.append(_triple_relation((j,), zm, zp))
-    for i, j, k in itertools.combinations(range(1, ring.rank + 1), 3):
-        rels.append(_triple_relation((i, j, 1), (j, k, 1), (i, k, 1)))
-    return rels
-
-
-def _substitution(ring: PresentedRing, sigma: SignedPerm) -> dict[Gen, FreePoly]:
-    """Generator images under sigma, homogenized: constants pick up a u.
-
-    The generators and u all sit in cohomological degree 2, so the genuine
-    equivariant action is the d = 1 action with each constant term c
-    replaced by c*u; specializing u to 0 or 1 then reproduces the actions
-    on the two quotients.
-    """
-    if ring.graded:
-        raise ValueError("substitution homogenizes the d = 1 action")
-    images: dict[Gen, FreePoly] = {U: _gen(U)}
-    for g in ring.gens:
-        img: FreePoly = {}
-        for m, c in ring.act_on_generator(sigma, g).terms.items():
-            key = (U,) if m == () else m
-            img[key] = img.get(key, 0) + c
-        images[g] = img
-    return images
-
-
-def _apply_substitution(p: FreePoly, images: dict[Gen, FreePoly]) -> FreePoly:
-    result: FreePoly = {}
-    for m, c in p.items():
-        term: FreePoly = {(): c}
-        for g in m:
-            term = _fmul(term, images[g])
-        result = poly_add(result, term)
-    return result
+def _homogenize(x: RingElement) -> FreePoly:
+    """A degree <= 1 element of the d = 1 ring with its constant c made c*u."""
+    return {m or (U,): c for m, c in x.terms.items()}
 
 
 def equivariant_relations(n: int) -> EquivariantRelationSet:
-    """Seed relations closed under the generator substitutions of B_n."""
-    ring = get_ring("Z1", n)
-    subs = [_substitution(ring, s) for s in group_generators(n)]
-    seen: dict[tuple, FreePoly] = {}
-    frontier: list[FreePoly] = []
-    for p in _seed_relations(ring):
-        key = _normalize(p)
-        if key not in seen:
-            seen[key] = p
-            frontier.append(p)
-    while frontier:
-        nxt: list[FreePoly] = []
-        for p in frontier:
-            for images in subs:
-                q = _apply_substitution(p, images)
-                key = _normalize(q)
-                if key and key not in seen:
-                    seen[key] = q
-                    nxt.append(q)
-        frontier = nxt
-    return EquivariantRelationSet(n, tuple(sorted(seen)))
+    """R0 at every generator label and R1-R3 at every label triple of the
+    d = 1 ring of rank n, homogenized: the B_n-orbit of the four families."""
+    labels, triples = get_ring("Z1", n).relation_labels()
+    images = {key: _homogenize(x) for key, x in labels.items()}
+    rels = [_fmul(g, poly_sub(g, {(U,): 1})) for g in images.values()]
+    rels += [_triple_relation(*(images[k] for k in t)) for t in triples]
+    return EquivariantRelationSet(n, tuple(sorted({_normalize(p) for p in rels})))
 
 
 def specialize(relset: EquivariantRelationSet, u_value: int) -> list[FreePoly]:

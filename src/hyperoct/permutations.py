@@ -38,6 +38,20 @@ def apply(s: SignedPerm, i: int) -> int:
     return s[i - 1] if i > 0 else -s[-i - 1]
 
 
+def letter(x: int) -> int:
+    """Encode a signed index 1..n as a letter of the lifted space on the
+    letters 0..n: ``x`` goes to ``x + 1`` and ``-x`` to ``-(x + 1)``, so that
+    the marked letter 0 is 1 and its antipode -1."""
+    if x == 0:
+        raise ValueError("the marked letter 0 is encoded 1, its antipode -1")
+    return x + 1 if x > 0 else x - 1
+
+
+def unletter(e: int) -> int:
+    """The signed index of an encoded letter other than the marked ones."""
+    return e - 1 if e > 0 else e + 1
+
+
 def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     """(a o b)(i) = a(b(i))."""
     if len(a) != len(b):

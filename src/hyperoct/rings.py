@@ -18,8 +18,10 @@ combinations of canonical generators; products are straightened to the
 square-free "one generator per hand" normal form, where the hand of z_i,
 z_ji+, z_ji- is i.  The rewrite rules are not transcribed by hand: every
 defining relation is instantiated over all signed index labels (this is
-exactly the group-orbit closure), expanded, and oriented by its largest
-monomial in the degree-then-lex order with letters ordered
+exactly the group-orbit closure; ``relation_labels`` decides it, and
+``hyperoct.equivariant`` builds its relation set from the same labels),
+expanded, and oriented by its largest monomial in the degree-then-lex
+order with letters ordered
 
     0 < -0 < 1 < -1 < 2 < -2 < ...
 
@@ -51,9 +53,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from . import cache
-from .permutations import SignedPerm, apply
+from .permutations import SignedPerm, apply, letter, unletter
 
 Gen = tuple  # (i,) loop; (i, j, s) pair, i < j, s in {1, -1}; (0,) is reserved
 Monomial = tuple  # sorted tuple of Gens
@@ -161,20 +164,26 @@ class RingElement:
             raise ValueError("elements from different rings")
 
     def __add__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self._check(other)
         return RingElement._of(self.ring, poly_add(self.masks, other.masks))
 
     def __sub__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
         return self + (-1) * other
 
     def __rmul__(self, scalar):
+        if not isinstance(scalar, Rational):
+            return NotImplemented
         scalar = _integral(scalar)
         if not scalar:
             return RingElement._of(self.ring, {})
         return RingElement._of(self.ring, {k: scalar * c for k, c in self.masks.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RingElement):
             return self.__rmul__(other)
         self._check(other)
         return RingElement._of(self.ring, self.ring.product(self.masks, other.masks))
@@ -351,26 +360,30 @@ class PresentedRing:
             out = {m: c for m, c in nxt.items() if c}
         return out
 
-    def _relation_instances(self):
-        """All defining relations instantiated over signed index labels."""
-        letters = [i for i in range(1, self.rank + 1)] + [
-            -i for i in range(1, self.rank + 1)
-        ]
-        loop = {a: self.canonical_loop(a).masks for a in letters}
-        pair = {
-            (a, b): self.canonical_pair(a, b).masks
-            for a, b in itertools.permutations(letters, 2)
-            if abs(a) != abs(b)
-        }
-
-        rels = []
-        for a, b in pair:
+    def relation_labels(self) -> tuple[dict[tuple, RingElement], list[tuple]]:
+        """Every loop label ``(a,)`` and pair label ``(a, b)`` over the signed
+        indices as its canonical combination, and the label triples of the
+        three relation families at every label tuple, which is their group
+        orbit: ``((a, b), (a,), (b,))`` and ``((b,), (a, -b), (a, b))`` at
+        every pair, ``((a, b), (b, c), (a, c))`` at every triple."""
+        letters = [*range(1, self.rank + 1), *range(-1, -self.rank - 1, -1)]
+        pairs = [(a, b) for a, b in itertools.permutations(letters, 2) if abs(a) != abs(b)]
+        labels = {(a,): self.canonical_loop(a) for a in letters}
+        labels.update({(a, b): self.canonical_pair(a, b) for a, b in pairs})
+        triples = []
+        for a, b in pairs:
             # pair*loop and the mixed pair/pair straightenings
-            rels.append(self._triple_relation(pair[(a, b)], loop[a], loop[b]))
-            rels.append(self._triple_relation(loop[b], pair[(a, -b)], pair[(a, b)]))
+            triples.append(((a, b), (a,), (b,)))
+            triples.append(((b,), (a, -b), (a, b)))
         for a, b, c in itertools.permutations(letters, 3):
             if len({abs(a), abs(b), abs(c)}) == 3:
-                rels.append(self._triple_relation(pair[(a, b)], pair[(b, c)], pair[(a, c)]))
+                triples.append(((a, b), (b, c), (a, c)))
+        return labels, triples
+
+    def _relation_instances(self):
+        """All defining relations instantiated over signed index labels."""
+        labels, triples = self.relation_labels()
+        rels = (self._triple_relation(*(labels[k].masks for k in t)) for t in triples)
         return [r for r in rels if r]
 
     def _triple_relation(self, x, y, z) -> dict[Mask, int]:
@@ -538,11 +551,7 @@ class PresentedRing:
         return out
 
     def _reduce_poly(self, poly: dict[Mask, int]) -> dict[Mask, int]:
-        out: dict[Mask, int] = {}
-        for m, c in poly.items():
-            for m2, c2 in self._normal_form(m).items():
-                out[m2] = out.get(m2, 0) + c * c2
-        return {m: c for m, c in out.items() if c}
+        return self.product(poly, {0: 1})
 
     def product(self, p: dict[Mask, int], q: dict[Mask, int]) -> dict[Mask, int]:
         """Normal form of the product of two normal-form polynomials."""
@@ -582,14 +591,12 @@ class PresentedRing:
 
     def reduce_raw(self, poly: dict[Monomial, int]) -> RingElement:
         """Reduce a free polynomial (square collapse plus straightening)."""
-        out: dict[Mask, int] = {}
+        masks: dict[Mask, int] = {}
         for m, c in poly.items():
             sq = self._raw_mask(m)
-            if sq is None:
-                continue
-            for m2, c2 in self._normal_form(sq).items():
-                out[m2] = out.get(m2, 0) + c * c2
-        return RingElement._of(self, {m: c for m, c in out.items() if c})
+            if sq is not None:
+                masks[sq] = masks.get(sq, 0) + c
+        return RingElement._of(self, self._reduce_poly(masks))
 
     def verify_relations(self) -> int:
         """Re-reduce every defining-relation instance to zero; returns the count."""
@@ -624,25 +631,18 @@ class PresentedRing:
 
     # -- group action ---------------------------------------------------------
 
-    def _letter(self, index: int) -> int:
-        """Encode a signed z-index as a letter of the lifted space: 0 -> 1."""
-        return index + 1 if index > 0 else index - 1
-
-    def _unletter(self, e: int) -> int:
-        return e - 1 if e > 0 else e + 1
-
     def _op_not(self, x: RingElement) -> RingElement:
         return -1 * x if self.graded else self.one() - x
 
     def _marked_pair(self, b: int, c: int) -> RingElement:
         """The cyclic-order class with the marked point first: letters (0, b, c)."""
         if b == -1:
-            return self.canonical_loop(self._unletter(c))
+            return self.canonical_loop(unletter(c))
         if c == -1:
-            return self._op_not(self.canonical_loop(self._unletter(b)))
+            return self._op_not(self.canonical_loop(unletter(b)))
         if c == -b:
-            return self.canonical_loop(-self._unletter(b))
-        return self.canonical_pair(self._unletter(b), self._unletter(c))
+            return self.canonical_loop(-unletter(b))
+        return self.canonical_pair(unletter(b), unletter(c))
 
     def _letter_triple(self, a: int, b: int, c: int) -> RingElement:
         triple = (a, b, c)
@@ -674,13 +674,13 @@ class PresentedRing:
         zero_img = apply(sigma, 1)
         if len(g) == 1:
             return self._letter_triple(
-                zero_img, -zero_img, apply(sigma, self._letter(g[0]))
+                zero_img, -zero_img, apply(sigma, letter(g[0]))
             )
         i, j, s = g
         return self._letter_triple(
             zero_img,
-            apply(sigma, self._letter(i)),
-            apply(sigma, self._letter(s * j)),
+            apply(sigma, letter(i)),
+            apply(sigma, letter(s * j)),
         )
 
     def act(self, sigma: SignedPerm, x: RingElement) -> RingElement:

@@ -39,6 +39,7 @@ from .characters import (
     induce_character,
     regular_character,
     rho_character,
+    subgroup_character,
 )
 from .permutations import (
     all_signed_perms,
@@ -46,7 +47,6 @@ from .permutations import (
     class_size,
     compose,
     group_order,
-    identity,
     longest_element,
     perm_to_str,
     signed_partition_to_str,
@@ -645,19 +645,17 @@ def _suite_gn1(n: int, rec: _Recorder):
         else f"dim = {dim}, expected {expected}",
     )
     tchar = type_character(lam)
-    # eta^a -> w^(a ambient/n), a primitive n-th root; w0 = -1 -> w^(ambient/2)
+    # eta -> w^(ambient/n), a primitive n-th root; -1 -> w^(ambient/2)
     eta = tuple(list(range(2, n + 1)) + [1])
-    w0 = longest_element(n)
     ambient = lcm(n, 2)
-    exponents = {}
-    g = identity(n)
-    for a in range(n):
-        exponents[g] = a * ambient // n
-        exponents[compose(g, w0)] = (a * ambient // n + ambient // 2) % ambient
-        g = compose(g, eta)
     try:
         ind1 = induce_character(rho_character(lam), n)
-        ind2 = induce_character((ambient, exponents), n)
+        ind2 = induce_character(
+            subgroup_character(
+                ambient, [(eta, ambient // n), (longest_element(n), ambient // 2)]
+            ),
+            n,
+        )
         ok, witness = tchar == ind1 == ind2, _cf_str(tchar)
     except ArithmeticError as exc:
         ok, witness = False, str(exc)

@@ -22,6 +22,7 @@ from hyperoct.characters import (
     regular_character,
     rho_character,
     sn_character_value,
+    subgroup_character,
     underlying_type,
 )
 from hyperoct.cyclotomic import cyclotomic_polynomial, power_rows
@@ -362,6 +363,26 @@ def test_scalar_multiple_takes_only_integers():
         chi * Fraction(1, 2)
     with pytest.raises(TypeError):
         chi * 0.5
+
+
+def test_sums_take_class_functions_only():
+    chi = character_table(2)[((2,), ())]
+    for bad in (lambda: chi + 1, lambda: chi - 1, lambda: 1 - chi):
+        with pytest.raises(TypeError):
+            bad()
+    assert (chi - chi).is_zero()
+
+
+def test_subgroup_character_closes_and_certifies():
+    # <eta, -1> in B_3: eta a primitive cube root, -1 the square root of 1
+    n, ambient = 3, 6
+    eta, w0 = (2, 3, 1), longest_element(n)
+    got_ambient, exponents = subgroup_character(ambient, [(eta, 2), (w0, 3)])
+    assert got_ambient == ambient and len(exponents) == 2 * n
+    assert exponents[compose(eta, w0)] == 5
+    # eta has order 3, so eta -> w^1 is no character of <eta>
+    with pytest.raises(ArithmeticError):
+        subgroup_character(ambient, [(eta, 1)])
 
 
 def test_divide_exactly_names_the_first_inexact_class():

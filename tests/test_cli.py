@@ -87,6 +87,20 @@ def test_cli_process_runs_blas_on_one_thread_unless_told(preset):
         assert tasks == "1"
 
 
+def test_cli_import_after_numpy_leaves_the_blas_variable_unset():
+    # once numpy is loaded the variable would take no effect, and would
+    # only pass on to the importing process's children
+    src = os.path.dirname(os.path.dirname(hyperoct.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import numpy, os, hyperoct.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None"]
+
+
 def test_cli_failure_exit_code(monkeypatch):
     from hyperoct.suites import Check, SuiteReport
 

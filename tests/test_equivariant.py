@@ -5,15 +5,99 @@ import pytest
 
 from hyperoct.equivariant import (
     U,
-    _apply_substitution,
+    _fmul,
     _normalize,
-    _substitution,
     equivariant_relations,
     specialize,
     verify_specializations,
 )
 from hyperoct.permutations import group_generators
-from hyperoct.rings import get_ring, monomial_order_key
+from hyperoct.rings import get_ring, monomial_order_key, poly_add, poly_sub
+
+
+def _gen(g):
+    return {(g,): 1}
+
+
+def _u_shift(g):
+    return {(g,): 1, (U,): -1}
+
+
+def _paper_triple(x, y, z):
+    """u^{-1}( x y (z - u) - (x - u)(y - u) z ) on generators x, y, z,
+    divided out term by term."""
+    p = poly_sub(
+        _fmul(_fmul(_gen(x), _gen(y)), _u_shift(z)),
+        _fmul(_fmul(_u_shift(x), _u_shift(y)), _gen(z)),
+    )
+    assert all(U in m for m in p)
+    return {m[: m.index(U)] + m[m.index(U) + 1 :]: c for m, c in p.items()}
+
+
+def _seed_relations(n):
+    """The paper's R0-R3 at canonical indices: R0 at every generator, R1-R3
+    at every pair i < j and triple i < j < k."""
+    rels = [_fmul(_gen(g), _u_shift(g)) for g in get_ring("Z1", n).gens]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            zp, zm = (i, j, 1), (i, j, -1)
+            rels.append(_paper_triple(zp, (i,), (j,)))
+            rels.append(_paper_triple((j,), zm, zp))
+            for k in range(j + 1, n + 1):
+                rels.append(_paper_triple(zp, (j, k, 1), (i, k, 1)))
+    return rels
+
+
+def _substitution(ring, sigma):
+    """Generator images under sigma, homogenized: constants pick up a u.
+
+    The generators and u all sit in cohomological degree 2, so the
+    equivariant action is the d = 1 action with each constant term c
+    replaced by c*u; specializing u to 0 or 1 reproduces the actions on the
+    two quotients.
+    """
+    images = {U: _gen(U)}
+    for g in ring.gens:
+        img = {}
+        for m, c in ring.act_on_generator(sigma, g).terms.items():
+            key = (U,) if m == () else m
+            img[key] = img.get(key, 0) + c
+        images[g] = img
+    return images
+
+
+def _apply_substitution(p, images):
+    result = {}
+    for m, c in p.items():
+        term = {(): c}
+        for g in m:
+            term = _fmul(term, images[g])
+        result = poly_add(result, term)
+    return result
+
+
+def _closure(n):
+    """The seeds closed under the generator substitutions of B_n, breadth
+    first: the definition of the equivariant relation set."""
+    ring = get_ring("Z1", n)
+    subs = [_substitution(ring, s) for s in group_generators(n)]
+    seen, frontier = set(), []
+    for p in _seed_relations(n):
+        key = _normalize(p)
+        if key not in seen:
+            seen.add(key)
+            frontier.append(p)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for images in subs:
+                q = _apply_substitution(p, images)
+                key = _normalize(q)
+                if key and key not in seen:
+                    seen.add(key)
+                    nxt.append(q)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 def _poly_for(relset, pattern):
@@ -83,9 +167,15 @@ def test_specializations_vanish(n):
     assert count0 == count1 == len(equivariant_relations(n))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relations_are_the_closure_of_the_paper_seeds(n):
+    # the label tuples of the d = 1 ring give exactly the group orbit
+    assert equivariant_relations(n).relations == _closure(n)
+
+
 def test_relation_set_is_closed_under_the_group():
     # every generator maps every relation to zero or to a relation of the set
-    for n in (2, 3):
+    for n in (1, 2, 3, 4):
         relset = equivariant_relations(n)
         relations = set(relset.relations)
         ring = get_ring("Z1", n)

@@ -16,6 +16,7 @@ from hyperoct.permutations import (
     group_order,
     identity,
     inverse,
+    letter,
     longest_element,
     mr_shape,
     perm_to_str,
@@ -25,6 +26,7 @@ from hyperoct.permutations import (
     signed_partitions,
     simple_reflection,
     standard_representative,
+    unletter,
 )
 
 
@@ -217,3 +219,13 @@ def test_shapes_partition_the_group():
         by_shape[mr_shape(g)] += 1
     assert sum(by_shape.values()) == group_order(n)
     assert set(by_shape) <= set(signed_compositions(n))
+
+
+def test_letters_encode_signed_indices_around_the_marked_letter():
+    from hyperoct import chambers
+
+    assert chambers.letter is letter
+    assert [letter(x) for x in (1, -1, 3, -3)] == [2, -2, 4, -4]
+    assert all(unletter(letter(x)) == x for x in range(-5, 6) if x)
+    with pytest.raises(ValueError):
+        letter(0)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperoct.characters import ClassFunction, decompose
@@ -421,3 +422,23 @@ def test_ring_multiplication_is_associative_and_commutative():
 def test_pretty_printer_uses_tilde_for_negative_pairs():
     ring = get_ring("Z3", 2)
     assert "z1~2" in repr(ring.generator((1, 2, -1)))
+
+
+def test_ring_element_operands_are_ring_elements_or_rationals():
+    ring = get_ring("Z3", 2)
+    x = ring.generator((1,))
+    for bad in (lambda: x + 1, lambda: x - 1, lambda: 1 - x, lambda: x * 2.5):
+        with pytest.raises(TypeError):
+            bad()
+    assert x * np.int64(2) == 2 * x == x + x
+
+
+def test_relation_labels_cover_every_signed_label():
+    n = 3
+    labels, triples = get_ring("Z1", n).relation_labels()
+    pairs = [k for k in labels if len(k) == 2]
+    assert len(labels) - len(pairs) == 2 * n and len(pairs) == 2 * n * (2 * n - 2)
+    # two families per pair, one per ordered triple of distinct moduli
+    assert len(triples) == 2 * len(pairs) + 2 * n * (2 * n - 2) * (2 * n - 4)
+    assert {k for t in triples for k in t} == set(labels)
+    assert labels[(-1,)] == get_ring("Z1", n).one() - labels[(1,)]
