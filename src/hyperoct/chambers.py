@@ -10,9 +10,9 @@ Letters are encoded as nonzero integers so that the antipode is negation:
 letter x in 0..n is ``x + 1``, its antipode ``-(x + 1)``; in particular
 the marked letter 0 is encoded 1 and -0 is encoded -1.
 
-Cyclic-order indicators evaluate to 0/1 on each chamber; the indexed
-products of these indicators realize the d = 1 function ring, giving a
-semantic oracle for the rewrite engine in hyperoct.rings.
+Every cyclic-order indicator on every chamber is one boolean array per
+rank; the indexed products of these indicators realize the d = 1 function
+ring, giving a semantic oracle for the rewrite engine in hyperoct.rings.
 """
 
 from __future__ import annotations
@@ -74,26 +74,6 @@ def chamber_from_str(text: str) -> Chamber:
     return ch
 
 
-def evaluate_y(i: int, j: int, k: int, ch: Chamber) -> int:
-    """1 iff the letters i, j, k sit in counter-clockwise cyclic order."""
-    if len({i, j, k}) != 3:
-        raise ValueError("letters must be pairwise distinct")
-    word = full_word(ch)
-    size = len(word)
-    pos = {e: p for p, e in enumerate(word)}
-    return 1 if (pos[j] - pos[i]) % size < (pos[k] - pos[i]) % size else 0
-
-
-def evaluate_z(gen, ch: Chamber) -> int:
-    """Evaluate a pair or loop generator label through the letter triple."""
-    if len(gen) == 1:
-        return evaluate_y(ZERO, NEG_ZERO, letter(gen[0]), ch)
-    if len(gen) == 2:
-        return evaluate_y(ZERO, letter(gen[0]), letter(gen[1]), ch)
-    i, j, s = gen
-    return evaluate_y(ZERO, letter(i), letter(s * j), ch)
-
-
 def chamber_action(sigma: SignedPerm, ch: Chamber) -> Chamber:
     """Relabel the cyclic word by sigma (in B_{n+1}, letter 0 is position 1)
     and rotate the result to start at 0."""
@@ -123,30 +103,50 @@ def base_chamber_cycler(n: int) -> SignedPerm:
     return tuple(list(range(2, n + 2)) + [-1])
 
 
-def generator_columns(n: int, gens) -> dict:
-    """Each canonical generator evaluated on every chamber of
-    ``all_chambers(n)`` at once, as a boolean column.
+def cyclic_letters(n: int) -> tuple[int, ...]:
+    """The letters 0, -0, 1, -1, ..., n, -n (encoded); the axes of
+    ``cyclic_indicators``, where the antipode of index t is index t ^ 1."""
+    return tuple(e for x in range(1, n + 2) for e in (x, -x))
 
-    The same values as ``evaluate_z``, which stays the per-chamber
-    definition: the position of every letter in every chamber's word is
-    computed once, and a generator compares three columns of positions.
-    """
+
+def _index(e):
+    """The position of an encoded letter (or array of them) in ``cyclic_letters``."""
+    return 2 * (abs(e) - 1) + (e < 0)
+
+
+@lru_cache(maxsize=None)
+def cyclic_indicators(n: int) -> np.ndarray:
+    """Read-only boolean ``y[a, b, c, r]``: the letters with indices a, b, c
+    in ``cyclic_letters(n)`` sit counter-clockwise on chamber r of
+    ``all_chambers(n)``, i.e. b comes before c when the word is read from
+    a.  Entries with a repeated letter are False."""
     words = np.array([full_word(ch) for ch in all_chambers(n)], dtype=np.int64)
     rows, size = words.shape
-    # pos[r, e + n + 1] is the position of letter e in the word of chamber r
-    pos = np.empty((rows, 2 * n + 3), dtype=np.int64)
-    pos[np.arange(rows)[:, None], words + n + 1] = np.arange(size)
+    # pos[t, r] is the position of letter t in the word of chamber r
+    pos = np.empty((size, rows), dtype=np.int64)
+    pos[_index(words), np.arange(rows)[:, None]] = np.arange(size)
+    y = np.empty((size, size, size, rows), dtype=bool)
+    for a in range(size):
+        d = (pos - pos[a]) % size
+        np.less(d[:, None], d[None, :], out=y[a])
+        y[a, a] = False
+    y.flags.writeable = False
+    return y
 
-    def at(e: int):
-        return pos[:, e + n + 1]
 
+def generator_columns(n: int, gens) -> dict:
+    """Each generator or label on every chamber of ``all_chambers(n)``, a
+    read-only boolean column of ``cyclic_indicators(n)``: loop ``(a,)`` is
+    the order of (0, -0, a), pair label ``(a, b)`` of (0, a, b), canonical
+    pair ``(i, j, s)`` of (0, i, s j)."""
+    y = cyclic_indicators(n)
     out = {}
     for g in gens:
         if len(g) == 1:
-            i, j, k = ZERO, NEG_ZERO, letter(g[0])
+            b, c = NEG_ZERO, letter(g[0])
         else:
-            i, j, k = ZERO, letter(g[0]), letter(g[2] * g[1])
-        out[g] = (at(j) - at(i)) % size < (at(k) - at(i)) % size
+            b, c = letter(g[0]), letter(g[1] if len(g) == 2 else g[2] * g[1])
+        out[g] = y[_index(ZERO), _index(b), _index(c)]
     return out
 
 

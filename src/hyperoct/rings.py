@@ -595,7 +595,7 @@ class PresentedRing:
         for m, c in poly.items():
             sq = self._raw_mask(m)
             if sq is not None:
-                masks[sq] = masks.get(sq, 0) + c
+                masks[sq] = masks.get(sq, 0) + _integral(c)
         return RingElement._of(self, self._reduce_poly(masks))
 
     def verify_relations(self) -> int:

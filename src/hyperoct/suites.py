@@ -6,6 +6,8 @@ exact and deterministic: characters are integer vectors (roots of unity
 as integer exponents), and a character that cannot be computed exactly
 (an inexact division, an irrational induced value) fails its check with
 the error text as witness.  Rewrite tables honor the persistent cache.
+The chambers suite's pointwise relation sweeps are boolean array checks
+and run at every rank; only ungraded's lifted total keeps a size cutoff.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .permutations import (
     class_size,
     compose,
     group_order,
+    letter,
     longest_element,
     perm_to_str,
     signed_partition_to_str,
@@ -743,104 +746,86 @@ def _suite_equivariant(n: int, rec: _Recorder):
         )
 
 
-def _sweep_failure(relation: str, labels: str, ch) -> str:
+def _sweep_failure(relation: str, bad: np.ndarray, n: int, fmt, *fixed) -> str | None:
+    """Name the first true entry of ``bad``, whose last axis runs over the
+    chambers, after the ``fixed`` indices, each formatted by ``fmt``; or None."""
+    if not bad.any():
+        return None
+    *at, r = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+    labels = ",".join(map(fmt, (*fixed, *at)))
+    ch = chmod.all_chambers(n)[r]
     return f"{relation} fails at ({labels}) on chamber {chmod.chamber_to_str(ch)}"
 
 
 def _cyclic_relation_sweep(n: int) -> tuple[int, str | None]:
-    """Evaluate the five cyclic-indicator relations on every chamber for
-    every letter choice.  Returns the number of (relation, labels) instances
-    and the first failing instance with its chamber, or None."""
-    letters = [chmod.ZERO, chmod.NEG_ZERO]
-    for i in range(1, n + 1):
-        letters += [chmod.letter(i), chmod.letter(-i)]
-    chams = chmod.all_chambers(n)
-    count = 0
+    """Check the reversal, antipode, support and four-letter relations on
+    ``cyclic_indicators(n)``, a few leading letters at a time.  Returns the
+    number of (relation, letters) instances and the first failing instance
+    with its chamber, or None."""
+    y = chmod.cyclic_indicators(n)
+    t = np.arange(len(y))
+    distinct = t[:, None] != t
+    anti = t ^ 1  # the index of each letter's antipode
 
-    def y(i, j, k, ch):
-        return chmod.evaluate_y(i, j, k, ch)
-
-    def labels(*xs):
-        return ",".join(chmod.letter_to_str(x) for x in xs)
-
-    for i, j, k in itertools.permutations(letters, 3):
-        antipode_ok = -i not in (j, k) and i not in (-j, -k)
-        for ch in chams:
-            a = y(i, j, k, ch)
-            if a * (1 - a) != 0:
-                return count, _sweep_failure("0/1 indicator", labels(i, j, k), ch)
-            if a != 1 - y(i, k, j, ch):
-                return count, _sweep_failure("reversal relation", labels(i, j, k), ch)
-            if antipode_ok and y(-i, j, k, ch) != y(i, -j, -k, ch):
-                return count, _sweep_failure("antipode relation", labels(i, j, k), ch)
-        count += 3 if antipode_ok else 2
-    for i, j, k, l in itertools.permutations(letters, 4):
-        for ch in chams:
-            a, b = y(i, j, k, ch), y(i, j, l, ch)
-            c, d = y(i, k, l, ch), y(j, k, l, ch)
-            if a - b + c - d != 0:
-                return count, _sweep_failure(
-                    "four-letter relation", labels(i, j, k, l), ch
+    def chunks():
+        """(relation, leading letters, where it applies, where it holds)"""
+        for i in t:
+            yi = y[i]
+            # y(i,j,k) = 1 - y(i,k,j) at distinct j, k other than i
+            pairs = distinct & distinct[i][:, None] & distinct[i]
+            yield "reversal relation", (i,), pairs, yi != yi.transpose(1, 0, 2)
+            # y(-i,j,k) = y(i,-j,-k) where j, k are not -i either
+            away = distinct[i] & distinct[anti[i]]
+            yield "antipode relation", (i,), distinct & away[:, None] & away, (
+                y[anti[i]] == yi[anti][:, anti]
+            )
+            for j in t[distinct[i]]:
+                # a = y(i,j,k), b = y(i,j,l), c = y(i,k,l), d = y(j,k,l) at
+                # distinct k, l: support ac(1-b) + (1-a)(1-c)b = 0 (first: on
+                # 0/1 values its failures fail four-letter too) and
+                # four-letter a - b + c - d = 0 (equal XORs and ANDs)
+                rest = pairs & distinct[j][:, None] & distinct[j]
+                a, b, c, d = yi[j][:, None], yi[j], yi, y[j]
+                yield "support relation", (i, j), rest, ~(a & c & ~b | ~a & ~c & b)
+                yield "four-letter relation", (i, j), rest, (
+                    ((a ^ c) == (b ^ d)) & ((a & c) == (b & d))
                 )
-            if a * c * (1 - b) + (1 - a) * (1 - c) * b != 0:
-                return count, _sweep_failure("support relation", labels(i, j, k, l), ch)
-        count += 2
+
+    names = [chmod.letter_to_str(e) for e in chmod.cyclic_letters(n)]
+    count = 0
+    for relation, fixed, valid, holds in chunks():
+        failure = _sweep_failure(relation, valid[..., None] & ~holds, n, names.__getitem__, *fixed)
+        if failure:
+            return count, failure
+        count += int(valid.sum())
     return count, None
 
 
 def _function_ring_relation_sweep(n: int) -> tuple[int, str | None]:
-    """Evaluate the seven d=1 function-ring relations pointwise via the
-    indicator model, over all signed index labels.  Returns the number of
-    (relation, labels) instances and the first failing instance with its
-    chamber, or None."""
-    chams = chmod.all_chambers(n)
-    idx = [s * i for i in range(1, n + 1) for s in (1, -1)]
-    count = 0
+    """The d = 1 ring's own relation instances on every chamber: at each
+    label of ``relation_labels`` its canonical combination of generator
+    columns equals its indicator (the negation relations), and at each
+    triple xy(1 - z) + (1 - x)(1 - y)z vanishes on the indicators.
+    Returns the instance count and the first failure, or None."""
+    ring = get_ring("Z1", n)
+    labels, triples = ring.relation_labels()
+    gens = chmod.generator_columns(n, ring.gens)
+    indicator = chmod.generator_columns(n, list(labels))
+    for count, (label, x) in enumerate(labels.items()):
+        value = sum(
+            c * np.logical_and.reduce([gens[g] for g in m], initial=True)
+            for m, c in x.terms.items()
+        )
+        failure = _sweep_failure("negation relation", value != indicator[label], n, str, *label)
+        if failure:
+            return count, failure
+    x, y, z = (np.array([indicator[t[k]] for t in triples], dtype=bool) for k in range(3))
 
-    def z2(a, b, ch):
-        return chmod.evaluate_z((a, b), ch)
+    def text(t):  # inside the witness's parentheses: "(a,b),(b,c),(a,c)"
+        return "),(".join(",".join(map(str, label)) for label in triples[t])
 
-    def z1v(a, ch):
-        return chmod.evaluate_z((a,), ch)
-
-    def labels(*xs):
-        return ",".join(str(x) for x in xs)
-
-    for a in idx:
-        for ch in chams:
-            va = z1v(a, ch)
-            if va * (1 - va) != 0:
-                return count, _sweep_failure("0/1 loop indicator", labels(a), ch)
-            if z1v(-a, ch) != 1 - va:
-                return count, _sweep_failure("loop negation relation", labels(a), ch)
-        count += 2
-    for a, b in itertools.permutations(idx, 2):
-        if abs(a) == abs(b):
-            continue
-        for ch in chams:
-            vab = z2(a, b, ch)
-            if vab * (1 - vab) != 0:
-                return count, _sweep_failure("0/1 pair indicator", labels(a, b), ch)
-            if z1v(a, ch) - z1v(b, ch) + vab - z2(-a, -b, ch) != 0:
-                return count, _sweep_failure("pair negation relation", labels(a, b), ch)
-            va, vb = z1v(a, ch), z1v(b, ch)
-            if vab * va * (1 - vb) + (1 - vab) * (1 - va) * vb != 0:
-                return count, _sweep_failure("pair-loop relation", labels(a, b), ch)
-            vmb = z2(a, -b, ch)
-            if vb * vmb * (1 - vab) + (1 - vb) * (1 - vmb) * vab != 0:
-                return count, _sweep_failure("mixed-pair relation", labels(a, b), ch)
-        count += 4
-    for a, b, c in itertools.permutations(idx, 3):
-        if len({abs(a), abs(b), abs(c)}) != 3:
-            continue
-        for ch in chams:
-            vab, vbc, vac = z2(a, b, ch), z2(b, c, ch), z2(a, c, ch)
-            if vab * vbc * (1 - vac) + (1 - vab) * (1 - vbc) * vac != 0:
-                return count, _sweep_failure(
-                    "transitivity relation", labels(a, b, c), ch
-                )
-        count += 1
-    return count, None
+    failure = _sweep_failure("triple relation", x & y & ~z | ~x & ~y & z, n, text)
+    return len(labels) + len(triples), failure
 
 
 def _suite_chambers(n: int, rec: _Recorder):
@@ -866,17 +851,12 @@ def _suite_chambers(n: int, rec: _Recorder):
             "(0,-1,-2,-0,1,2)": (1, 1, 1, 0, 1, 1),
             "(0,-2,-1,-0,2,1)": (1, 1, 0, 0, 1, 0),
         }
-        cols = [
-            (chmod.ZERO, chmod.NEG_ZERO, chmod.letter(1)),
-            (chmod.ZERO, chmod.NEG_ZERO, chmod.letter(2)),
-            (chmod.ZERO, chmod.letter(1), chmod.letter(2)),
-            (chmod.ZERO, chmod.letter(1), chmod.letter(-2)),
-            (chmod.ZERO, chmod.letter(-1), chmod.letter(2)),
-            (chmod.ZERO, chmod.letter(-1), chmod.letter(-2)),
-        ]
+        labels = [(1,), (2,), (1, 2), (1, -2), (-1, 2), (-1, -2)]
+        columns = chmod.generator_columns(2, labels)
         mismatch = None
         for word, expected in table_rows.items():
-            got = tuple(chmod.evaluate_y(*c, chmod.chamber_from_str(word)) for c in cols)
+            r = chams.index(chmod.chamber_from_str(word))
+            got = tuple(int(columns[g][r]) for g in labels)
             if got != expected and mismatch is None:
                 mismatch = f"row {word} evaluates to {got}, published {expected}"
         rec.record(
@@ -886,18 +866,15 @@ def _suite_chambers(n: int, rec: _Recorder):
             mismatch or "the 8 x 6 table of indicator values reproduces exactly",
         )
 
-    if n <= 3:
-        count, failure = _cyclic_relation_sweep(n)
+    sweeps = {
+        "cyclic-relations-pointwise": ("cyclic-indicator", _cyclic_relation_sweep),
+        "function-ring-relations-pointwise": ("function-ring", _function_ring_relation_sweep),
+    }
+    for check_id, (anchor, sweep) in sweeps.items():
+        count, failure = sweep(n)
         rec.record(
-            "cyclic-relations-pointwise",
-            "cyclic-indicator-relations-vanish-pointwise",
-            failure is None,
-            failure or f"{count} relation instances vanish on all {len(chams)} chambers",
-        )
-        count, failure = _function_ring_relation_sweep(n)
-        rec.record(
-            "function-ring-relations-pointwise",
-            "function-ring-relations-vanish-pointwise",
+            check_id,
+            f"{anchor}-relations-vanish-pointwise",
             failure is None,
             failure or f"{count} relation instances vanish on all {len(chams)} chambers",
         )
@@ -936,8 +913,7 @@ def _suite_chambers(n: int, rec: _Recorder):
     group = list(all_signed_perms(n))
     orbit = {}
     for s in group:
-        lifted = tuple([1] + [x + 1 if x > 0 else x - 1 for x in s])
-        img = chmod.chamber_action(lifted, base)
+        img = chmod.chamber_action((1, *map(letter, s)), base)
         orbit[img] = orbit.get(img, 0) + 1
     repeated = next((ch for ch, v in orbit.items() if v > 1), None)
     if repeated is not None:

@@ -15,9 +15,11 @@ from hyperoct.chambers import (
     chamber_from_str,
     chamber_stabilizer,
     chamber_to_str,
-    evaluate_y,
-    evaluate_z,
+    cyclic_indicators,
+    cyclic_letters,
     evaluation_matrix,
+    full_word,
+    generator_columns,
     letter,
 )
 from hyperoct.characters import cyclic_subgroup
@@ -29,6 +31,27 @@ from hyperoct.permutations import (
     inverse,
 )
 from hyperoct.rings import RingElement, get_ring
+
+
+def evaluate_y(i: int, j: int, k: int, ch: Chamber) -> int:
+    """1 iff the letters i, j, k sit in counter-clockwise cyclic order: the
+    per-chamber definition that ``cyclic_indicators`` is checked against."""
+    if len({i, j, k}) != 3:
+        raise ValueError("letters must be pairwise distinct")
+    word = full_word(ch)
+    size = len(word)
+    pos = {e: p for p, e in enumerate(word)}
+    return 1 if (pos[j] - pos[i]) % size < (pos[k] - pos[i]) % size else 0
+
+
+def evaluate_z(gen, ch: Chamber) -> int:
+    """Evaluate a pair or loop generator label through the letter triple."""
+    if len(gen) == 1:
+        return evaluate_y(ZERO, NEG_ZERO, letter(gen[0]), ch)
+    if len(gen) == 2:
+        return evaluate_y(ZERO, letter(gen[0]), letter(gen[1]), ch)
+    i, j, s = gen
+    return evaluate_y(ZERO, letter(i), letter(s * j), ch)
 
 HEAVISIDE_TABLE = {
     "(0,1,2,-0,-1,-2)": (0, 0, 1, 1, 0, 1),
@@ -81,6 +104,30 @@ def test_evaluate_z_identification():
             )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cyclic_indicators_match_the_per_chamber_definition(n):
+    y = cyclic_indicators(n)
+    letters = cyclic_letters(n)
+    chams = all_chambers(n)
+    assert letters == (ZERO, NEG_ZERO, *(e for x in range(1, n + 1) for e in (letter(x), letter(-x))))
+    assert y.shape == (len(letters),) * 3 + (len(chams),) and y.dtype == bool
+    assert not y.flags.writeable
+    for a, b, c in itertools.product(range(len(letters)), repeat=3):
+        if len({a, b, c}) == 3:
+            want = [evaluate_y(letters[a], letters[b], letters[c], ch) for ch in chams]
+            assert y[a, b, c].tolist() == want, (a, b, c)
+        else:
+            assert not y[a, b, c].any(), (a, b, c)
+
+
+def test_generator_columns_match_evaluate_z():
+    ring = get_ring("Z1", 3)
+    labels, _ = ring.relation_labels()
+    chams = all_chambers(3)
+    for g, column in generator_columns(3, [*ring.gens, *labels]).items():
+        assert column.tolist() == [evaluate_z(g, ch) for ch in chams], g
+
+
 def test_chamber_count():
     for n in (1, 2, 3):
         assert len(all_chambers(n)) == group_order(n)
@@ -124,8 +171,7 @@ def test_marked_point_subgroup_acts_simply_transitively():
     base = base_chamber(n)
     seen = set()
     for s in all_signed_perms(n):
-        lifted = tuple([1] + [x + 1 if x > 0 else x - 1 for x in s])
-        seen.add(chamber_action(lifted, base))
+        seen.add(chamber_action((1, *map(letter, s)), base))
     assert len(seen) == group_order(n)
 
 
@@ -186,7 +232,7 @@ def test_ring_action_matches_chamber_semantics(space, rank):
     chams = all_chambers(rank)
     for sigma in all_signed_perms(acting):
         if space == "Z1":
-            lifted = tuple([1] + [x + 1 if x > 0 else x - 1 for x in sigma])
+            lifted = (1, *map(letter, sigma))
         else:
             lifted = sigma
         sig_inv = inverse(lifted)
@@ -250,17 +296,26 @@ def test_graded_product_is_top_degree_of_filtered_product(rank):
             assert {m: c for m, c in graded.terms.items()} == dict(top.terms)
 
 
-def test_flipped_indicator_fails_the_chamber_suite(monkeypatch):
+def _patched_indicators(monkeypatch, n):
+    """Patch ``cyclic_indicators`` with a writable copy of its rank-n array;
+    returns the copy and the index of a letter triple on the base chamber."""
     from hyperoct import chambers
+
+    letters = cyclic_letters(n)
+    r = all_chambers(n).index(base_chamber(n))
+    y = cyclic_indicators(n).copy()
+    monkeypatch.setattr(chambers, "cyclic_indicators", lambda k: y)
+    return y, lambda triple: (*map(letters.index, triple), r)
+
+
+Z, M, P1, P2, N1, N2 = ZERO, NEG_ZERO, letter(1), letter(2), letter(-1), letter(-2)
+
+
+def test_flipped_indicator_fails_the_chamber_suite(monkeypatch):
     from hyperoct.suites import run_suite
 
-    flipped = (ZERO, letter(1), letter(2), base_chamber(2))
-    honest = chambers.evaluate_y
-
-    def evaluate_y(i, j, k, ch):
-        return honest(i, j, k, ch) ^ ((i, j, k, ch) == flipped)
-
-    monkeypatch.setattr(chambers, "evaluate_y", evaluate_y)
+    y, at = _patched_indicators(monkeypatch, 2)
+    y[at((Z, P1, P2))] ^= True
     report = run_suite("chambers", 2)
     status = {c.id: c for c in report.checks}
     assert not report.passed
@@ -271,6 +326,65 @@ def test_flipped_indicator_fails_the_chamber_suite(monkeypatch):
     table = status["indicator-table"]
     assert table.status == "fail"
     assert table.witness.startswith("row (0,1,2,-0,-1,-2) evaluates to (0, 0, 0, 1, 0, 1)")
+
+
+@pytest.mark.parametrize(
+    "flips, witness",
+    [
+        ([(Z, P1, P2)], "reversal relation fails at (0,1,2)"),
+        ([(Z, P1, P2), (Z, P2, P1)], "antipode relation fails at (0,-1,-2)"),
+        ([(Z, M, P1), (Z, P1, M), (M, Z, N1), (M, N1, Z)], "support relation fails at (0,-0,1,2)"),
+        (
+            [(Z, P1, P2), (Z, P2, P1), (M, N1, N2), (M, N2, N1)],
+            "four-letter relation fails at (0,-0,1,2)",
+        ),
+    ],
+)
+def test_each_cyclic_relation_can_fail(flips, witness, monkeypatch):
+    # each flip set keeps the relations checked before the named one
+    from hyperoct.suites import _cyclic_relation_sweep
+
+    y, at = _patched_indicators(monkeypatch, 2)
+    for t in flips:
+        y[at(t)] ^= True
+    assert _cyclic_relation_sweep(2)[1] == f"{witness} on chamber (0,1,2,-0,-1,-2)"
+
+
+def test_unrealized_generator_values_fail_a_triple_relation(monkeypatch):
+    # values of z1, z2, z3, z12, z1~2, ..., z2~3 that no chamber takes, with
+    # every label's canonical combination still 0 or 1: the negation
+    # relations hold and a triple relation fails
+    from hyperoct.suites import _function_ring_relation_sweep
+
+    ring = get_ring("Z1", 3)
+    labels, _ = ring.relation_labels()
+    values = dict(zip(ring.gens, (0, 0, 0, 0, 1, 1, 1, 0, 1)))
+    y, at = _patched_indicators(monkeypatch, 3)
+    for label, x in labels.items():
+        v = sum(c * all(values[g] for g in m) for m, c in x.terms.items())
+        assert v in (0, 1)
+        triple = (Z, M, letter(label[0])) if len(label) == 1 else (Z, *map(letter, label))
+        y[at(triple)] = v
+    assert _function_ring_relation_sweep(3)[1] == (
+        "triple relation fails at (1,2),(2,3),(1,3) on chamber (0,1,2,3,-0,-1,-2,-3)"
+    )
+
+
+def test_swapped_relation_label_fails_the_function_ring_sweep(monkeypatch):
+    from hyperoct.suites import run_suite
+
+    ring = get_ring("Z1", 2)
+    honest = ring.relation_labels
+
+    def swapped():
+        # the label (2,-1) carries the combination of (1,-2)
+        labels, triples = honest()
+        return {**labels, (2, -1): labels[(1, -2)]}, triples
+
+    monkeypatch.setattr(ring, "relation_labels", swapped)
+    check = {c.id: c for c in run_suite("chambers", 2).checks}["function-ring-relations-pointwise"]
+    assert check.status == "fail"
+    assert check.witness.startswith("negation relation fails at (2,-1) on chamber ")
 
 
 def test_rank_deficient_evaluation_matrix_fails_the_chamber_suite(monkeypatch):

@@ -453,6 +453,25 @@ def _short_stabilizer(monkeypatch):
     }
 
 
+def _flipped_indicator(monkeypatch):
+    from hyperoct import chambers
+
+    honest = chambers.cyclic_indicators
+    y = honest(2).copy()
+    letters = (chambers.ZERO, chambers.letter(1), chambers.letter(2))
+    at = [chambers.cyclic_letters(2).index(e) for e in letters]
+    y[(*at, chambers.all_chambers(2).index(chambers.base_chamber(2)))] ^= True
+    monkeypatch.setattr(chambers, "cyclic_indicators", lambda n: y if n == 2 else honest(n))
+    return {
+        "indicator-table": "row (0,1,2,-0,-1,-2) evaluates to (0, 0, 0, 1, 0, 1), "
+        "published (0, 0, 1, 1, 0, 1)",
+        "cyclic-relations-pointwise":
+        "reversal relation fails at (0,1,2) on chamber (0,1,2,-0,-1,-2)",
+        "function-ring-relations-pointwise":
+        "negation relation fails at (2,1) on chamber (0,1,2,-0,-1,-2)",
+    }
+
+
 @pytest.mark.parametrize(
     "suite, inject, ids",
     [
@@ -462,6 +481,11 @@ def _short_stabilizer(monkeypatch):
         ("idempotents", _non_orthogonal_g0, ["positive-part-count-idempotents"]),
         ("bigrading", _wrong_bidegree_dimension, ["bidegree-from-type-sums"]),
         ("chambers", _short_stabilizer, ["base-chamber-stabilizer"]),
+        (
+            "chambers",
+            _flipped_indicator,
+            ["indicator-table", "cyclic-relations-pointwise", "function-ring-relations-pointwise"],
+        ),
     ],
 )
 def test_failing_checks_name_their_first_mismatch(suite, inject, ids, monkeypatch):

@@ -193,6 +193,10 @@ def test_ring_elements_reject_non_integral_coefficients():
         RingElement(ring, {(): Fraction(1, 2)})
     with pytest.raises(ValueError):
         Fraction(1, 2) * ring.one()
+    assert ring.reduce_raw({((1,),): Fraction(4, 2)}).masks == {ring.bits[(1,)]: 2}
+    for c in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError):
+            ring.reduce_raw({((1,),): c})
 
 
 @pytest.mark.parametrize(
