@@ -13,16 +13,22 @@ the marked letter 0 is encoded 1 and -0 is encoded -1.
 Every cyclic-order indicator on every chamber is one boolean array per
 rank; the indexed products of these indicators realize the d = 1 function
 ring, giving a semantic oracle for the rewrite engine in hyperoct.rings.
+The evaluation of the nbc monomials reads the ring Z1, whose presentation
+the lifted space Y1 shares, and stays bit-packed over the chambers up to
+its GF(2) rank.  The chamber action has a scalar definition
+(``chamber_action``) and an array pass over many group elements at once
+(``chamber_images``).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import full_rank_certificate
+from .linalg import full_rank_certificate, pack_rows
 from .permutations import SignedPerm, apply, letter
 from .rings import get_ring
 
@@ -85,12 +91,29 @@ def chamber_action(sigma: SignedPerm, ch: Chamber) -> Chamber:
     return tuple(word[(at + t) % len(word)] for t in range(1, n + 1))
 
 
-def chamber_stabilizer(n: int, ch: Chamber) -> list[SignedPerm]:
-    from .permutations import all_signed_perms
+def signed_perm_rows(n: int) -> np.ndarray:
+    """The elements of ``all_signed_perms(n)``, in its order, as the rows of
+    one int8 array."""
+    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
+    return (perms[:, None] * signs[None]).reshape(-1, n)
 
-    return [
-        s for s in all_signed_perms(n + 1) if chamber_action(s, ch) == ch
-    ]
+
+def chamber_images(sigmas: np.ndarray, ch: Chamber) -> np.ndarray:
+    """``chamber_action`` of every row of ``sigmas`` (elements of B_{n+1})
+    on ch, one image chamber per row."""
+    word = np.array(full_word(ch))
+    image = sigmas[:, np.abs(word) - 1] * np.sign(word).astype(sigmas.dtype)
+    at = np.argmax(image == ZERO, axis=1)
+    after = (at[:, None] + np.arange(1, len(ch) + 1)) % len(word)
+    return np.take_along_axis(image, after, axis=1)
+
+
+def chamber_stabilizer(n: int, ch: Chamber) -> list[SignedPerm]:
+    """The elements of B_{n+1} fixing ch, in ``all_signed_perms`` order."""
+    sigmas = signed_perm_rows(n + 1)
+    fixed = (chamber_images(sigmas, ch) == ch).all(axis=1)
+    return [tuple(s) for s in sigmas[fixed].tolist()]
 
 
 def base_chamber(n: int) -> Chamber:
@@ -151,18 +174,36 @@ def generator_columns(n: int, gens) -> dict:
 
 
 def evaluation_matrix(n: int):
-    """0/1 matrix of all nbc monomials evaluated on all chambers, with rank.
+    """Every nbc monomial evaluated on every chamber, as bit-packed rows,
+    with the rank.
 
-    Rows are chambers, columns nbc monomials of the lifted d = 1 space in
-    marked-point coordinates; rank 2^n n! (full) certifies the monomials
-    are a basis of the function ring.  The rank is returned, not checked.
-    A monomial's column is the AND of its generators' columns.
+    Row k is monomial k of ``nbc_basis()`` of Z1 packed over
+    ``all_chambers(n)`` by ``linalg.pack_rows``, so the bits past the last
+    chamber are zero; ``linalg.unpack_rows`` gives the 0/1 matrix.  Z1 and
+    the lifted Y1 share this presentation (generators, rewrite table, nbc
+    basis) and differ only in the group action, which the evaluation does
+    not read.  Rank 2^n n! (full) certifies the monomials are a basis of
+    the function ring.  The rank is returned, not checked.
+
+    A monomial's row is the AND of the row of its prefix (the monomial
+    without its top generator) and its top generator's row.  Monomial
+    order is degree first, so each degree is one array step over rows of
+    the degree before.
     """
-    ring = get_ring("Y1", n)
-    basis = ring.nbc_basis()
-    columns = generator_columns(n, ring.gens)
-    mat = np.ones((len(all_chambers(n)), len(basis)), dtype=np.int64)
-    for c, mono in enumerate(basis):
-        for g in mono:
-            mat[:, c] &= columns[g]
-    return mat, full_rank_certificate(mat)
+    ring = get_ring("Z1", n)
+    gens = sorted(ring.bits, key=ring.bits.get)  # generator k has bit k
+    columns = generator_columns(n, gens)
+    gen_rows = pack_rows([columns[g] for g in gens])
+    masks = ring.nbc_masks()
+    index = {m: k for k, m in enumerate(masks)}
+    top = [m.bit_length() - 1 for m in masks]  # -1 for the empty monomial
+    prefix = np.array([index[m ^ 1 << t] if m else 0 for m, t in zip(masks, top)])
+    top = np.array(top)
+    degrees = [m.bit_count() for m in masks]
+    chambers = len(all_chambers(n))
+    rows = np.empty((len(masks), gen_rows.shape[1]), dtype=gen_rows.dtype)
+    rows[0] = pack_rows(np.ones((1, chambers), dtype=bool))[0]
+    for d in range(1, degrees[-1] + 1):
+        k = slice(bisect_left(degrees, d), bisect_right(degrees, d))
+        rows[k] = rows[prefix[k]] & gen_rows[top[k]]
+    return rows, full_rank_certificate(rows, chambers)

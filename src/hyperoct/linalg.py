@@ -4,10 +4,10 @@ a prime.
 The rank of an integer matrix modulo a prime is a certified lower bound
 for its rank over Q (a minor that is nonzero mod p is nonzero); when it
 equals the full dimension it proves full rank exactly.  The mod-2 rank
-runs on bit-packed rows and is tried first; the exact rank is a
-fraction-free (Bareiss) elimination, on int64 while its entries stay
-small and on Python integers after, for matrices whose rank is deficient
-modulo both.
+runs on bit-packed rows (``pack_rows``) and is tried first; the exact
+rank is a fraction-free (Bareiss) elimination, on int64 while its
+entries stay small and on Python integers after, for matrices whose rank
+is deficient modulo both.
 """
 
 from __future__ import annotations
@@ -47,17 +47,33 @@ def rank_mod_p(matrix) -> int:
     return rank
 
 
-def rank_gf2(matrix) -> int:
-    """Rank over GF(2) of an integer matrix, its entries taken mod 2.
-
-    Each row is packed into 64-bit words and eliminated by XOR; the order
-    in which packing visits the columns does not change the rank.
-    """
-    bits = np.asarray(matrix) & 1
+def pack_rows(matrix) -> np.ndarray:
+    """Bit-packed rows of a 0/1 or boolean matrix: uint64 words, column j
+    at bit j % 64 of word j // 64; nonzero entries are ones and the bits
+    past the last column are zero."""
+    bits = np.asarray(matrix)
     rows, cols = bits.shape
-    padded = np.zeros((rows, -(-cols // 64) * 64), dtype=np.uint8)
-    padded[:, :cols] = bits
-    m = np.packbits(padded, axis=1).view(np.uint64)
+    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
+    """The 0/1 uint8 matrix of ``cols`` columns whose packed rows are ``words``."""
+    return np.unpackbits(
+        np.ascontiguousarray(words, dtype="<u8").view(np.uint8),
+        axis=1,
+        count=cols,
+        bitorder="little",
+    )
+
+
+def rank_gf2_packed(words: np.ndarray) -> int:
+    """Rank over GF(2) of bit-packed rows (``pack_rows``), eliminated by XOR
+    on a copy.  Set bits past the last column count as columns, so the
+    packing must leave them zero."""
+    m = np.array(words, dtype=np.uint64)
+    rows = m.shape[0]
     rank = 0
     for word in range(m.shape[1]):
         for bit in range(64):
@@ -67,13 +83,19 @@ def rank_gf2(matrix) -> int:
                 continue
             pivot = rank + hits[0]
             m[[rank, pivot]] = m[[pivot, rank]]
-            # rows rank + 1 .. pivot (the swapped-down one too) lack the bit
+            # rows rank + 1 .. pivot (the swapped-down one too) lack the bit;
+            # every row below the pivot is zero before this word
             below = pivot + 1 + np.flatnonzero(m[pivot + 1 :, word] & mask)
-            m[below] ^= m[rank]
+            m[below, word:] ^= m[rank, word:]
             rank += 1
             if rank == rows:
                 return rank
     return rank
+
+
+def rank_gf2(matrix) -> int:
+    """Rank over GF(2) of an integer matrix, its entries taken mod 2."""
+    return rank_gf2_packed(pack_rows(np.asarray(matrix) & 1))
 
 
 def _widened(m: np.ndarray) -> np.ndarray:
@@ -119,15 +141,19 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def full_rank_certificate(matrix) -> int:
-    """Exact rank of a square-or-wide integer 0/1 matrix.
+def full_rank_certificate(words: np.ndarray, cols: int) -> int:
+    """Exact rank of a 0/1 matrix of ``cols`` columns given as bit-packed
+    rows (``pack_rows``).
 
     Full rank over GF(2) means a maximal minor is odd, so nonzero: full
-    rank over Q.  A deficient mod-2 rank falls back to the mod-p rank,
-    which certifies fullness the same way, and then to exact elimination.
+    rank over Q.  Only a deficient mod-2 rank unpacks the matrix, for the
+    mod-p rank, which certifies fullness the same way, and then for exact
+    elimination.
     """
-    m = np.asarray(matrix)
-    full = min(m.shape)
-    if rank_gf2(m) == full or rank_mod_p(m) == full:
+    full = min(len(words), cols)
+    if rank_gf2_packed(words) == full:
+        return full
+    m = unpack_rows(words, cols)
+    if rank_mod_p(m) == full:
         return full
     return rank_exact(m.tolist())

@@ -44,12 +44,10 @@ from .characters import (
     subgroup_character,
 )
 from .permutations import (
-    all_signed_perms,
     centralizer_order,
     class_size,
     compose,
     group_order,
-    letter,
     longest_element,
     perm_to_str,
     signed_partition_to_str,
@@ -76,7 +74,7 @@ SUITE_BOUNDS = {
     "gn1": (2, 5),
     "bigrading": (1, 5),
     "equivariant": (1, 4),
-    "chambers": (1, 4),
+    "chambers": (1, 5),
 }
 
 SUITE_ORDER = list(SUITE_BOUNDS) + ["all"]
@@ -879,14 +877,14 @@ def _suite_chambers(n: int, rec: _Recorder):
             failure or f"{count} relation instances vanish on all {len(chams)} chambers",
         )
 
-    mat, rank = chmod.evaluation_matrix(n)
-    rows, cols = mat.shape
-    ok = rank == rows == cols == group_order(n)
+    rows, rank = chmod.evaluation_matrix(n)
+    cols = len(rows)  # one packed row per nbc monomial
+    ok = rank == len(chams) == cols == group_order(n)
     rec.record(
         "evaluation-matrix-rank",
         "basis-monomials-evaluate-to-full-rank",
         ok,
-        f"rank {rank} of the {rows} x {cols} evaluation matrix is "
+        f"rank {rank} of the {len(chams)} x {cols} evaluation matrix is "
         + ("full" if ok else f"not the group order {group_order(n)}"),
     )
 
@@ -910,16 +908,18 @@ def _suite_chambers(n: int, rec: _Recorder):
         "of the letter cycle",
     )
 
-    group = list(all_signed_perms(n))
-    orbit = {}
-    for s in group:
-        img = chmod.chamber_action((1, *map(letter, s)), base)
-        orbit[img] = orbit.get(img, 0) + 1
-    repeated = next((ch for ch, v in orbit.items() if v > 1), None)
-    if repeated is not None:
-        failure = (
-            f"chamber {chmod.chamber_to_str(repeated)} is reached by {orbit[repeated]} elements"
-        )
+    # B_n lifted to the elements of B_{n+1} fixing the marked letter:
+    # s becomes (1, *map(letter, s)), row by row
+    signed = chmod.signed_perm_rows(n)
+    lifted = np.hstack([np.ones((len(signed), 1), dtype=np.int8), signed + np.sign(signed)])
+    orbit, first, counts = np.unique(
+        chmod.chamber_images(lifted, base), axis=0, return_index=True, return_counts=True
+    )
+    if (counts > 1).any():
+        # the repeated chamber reached first in all_signed_perms order
+        k = np.argmin(np.where(counts > 1, first, len(lifted)))
+        repeated = chmod.chamber_to_str(tuple(orbit[k].tolist()))
+        failure = f"chamber {repeated} is reached by {counts[k]} elements"
     elif len(orbit) != group_order(n):
         failure = f"the orbit has {len(orbit)} chambers, not {group_order(n)}"
     else:

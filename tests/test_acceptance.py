@@ -255,13 +255,15 @@ def test_criterion_12_chamber_semantics():
     assert report4.passed
     swept = {c.id for c in report4.checks}
     assert {"cyclic-relations-pointwise", "function-ring-relations-pointwise"} <= swept
+    report5 = run_suite("chambers", 5)
+    assert report5.passed and len(report5.checks) == 6
     for n in (1, 2, 3, 4):
         _, rank = evaluation_matrix(n)
         assert rank == group_order(n)
         assert len(all_chambers(n)) == group_order(n)
         stab = set(chamber_stabilizer(n, base_chamber(n)))
         assert stab == set(cyclic_subgroup(base_chamber_cycler(n)))
-    _report(12, "indicator table (n=2); pointwise relations, full rank, stabilizers (n<=4)")
+    _report(12, "indicator table (n=2); pointwise relations, full rank, stabilizers (n<=5)")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hyperoct.chambers import (
     base_chamber_cycler,
     chamber_action,
     chamber_from_str,
+    chamber_images,
     chamber_stabilizer,
     chamber_to_str,
     cyclic_indicators,
@@ -21,9 +23,10 @@ from hyperoct.chambers import (
     full_word,
     generator_columns,
     letter,
+    signed_perm_rows,
 )
 from hyperoct.characters import cyclic_subgroup
-from hyperoct.linalg import rank_exact
+from hyperoct.linalg import rank_exact, unpack_rows
 from hyperoct.permutations import (
     all_signed_perms,
     compose,
@@ -184,29 +187,72 @@ def test_stabilizer_is_the_letter_cycle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_evaluation_matrix_full_rank(n):
-    mat, rank = evaluation_matrix(n)
+    rows, rank = evaluation_matrix(n)
     assert rank == group_order(n)
-    # column of the empty monomial is all ones
-    ring = get_ring("Y1", n)
-    empty_at = ring.nbc_basis().index(())
-    assert all(mat[r, empty_at] == 1 for r in range(mat.shape[0]))
+    # the row of the empty monomial is all ones
+    empty_at = get_ring("Z1", n).nbc_basis().index(())
+    assert unpack_rows(rows, len(all_chambers(n)))[empty_at].all()
 
 
 def test_evaluation_matrix_rank_against_exact_elimination():
-    mat, rank = evaluation_matrix(2)
+    rows, rank = evaluation_matrix(2)
+    mat = unpack_rows(rows, 8)
     exact = rank_exact([[Fraction(int(x)) for x in row] for row in mat])
     assert exact == rank == 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_evaluation_matrix_matches_evaluate_z(n):
-    mat, _ = evaluation_matrix(n)
-    basis = get_ring("Y1", n).nbc_basis()
+    rows, _ = evaluation_matrix(n)
+    basis = get_ring("Z1", n).nbc_basis()
     chams = all_chambers(n)
-    assert mat.shape == (len(chams), len(basis))
-    for r, ch in enumerate(chams):
-        for c, mono in enumerate(basis):
-            assert mat[r, c] == int(all(evaluate_z(g, ch) for g in mono)), (ch, mono)
+    assert rows.shape == (len(basis), -(-len(chams) // 64))
+    mat = unpack_rows(rows, len(chams))
+    for c, mono in enumerate(basis):
+        for r, ch in enumerate(chams):
+            assert mat[c, r] == int(all(evaluate_z(g, ch) for g in mono)), (ch, mono)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluation_rows_are_zero_past_the_last_chamber(n):
+    # 2, 8 and 48 chambers in one 64-bit word: a set padding bit would act
+    # as an extra column of the rank
+    rows, _ = evaluation_matrix(n)
+    assert rows.dtype == np.dtype("<u8") and rows.shape[1] == 1
+    chambers = len(all_chambers(n))
+    assert not unpack_rows(rows, 64)[:, chambers:].any()
+    assert (rows < np.uint64(1) << np.uint64(chambers)).all()
+
+
+def test_evaluation_matrix_at_rank_four_allocates_no_dense_matrix():
+    # the 384 x 384 int64 matrix alone is 1.2 MB; the packed rows are 18 kB
+    evaluation_matrix(4)  # builds the ring and the indicator array
+    tracemalloc.start()
+    try:
+        evaluation_matrix(4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_perm_rows_follow_all_signed_perms(n):
+    rows = signed_perm_rows(n)
+    assert rows.dtype == np.int8
+    assert [tuple(r) for r in rows.tolist()] == list(all_signed_perms(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chamber_images_match_chamber_action(n):
+    sigmas = signed_perm_rows(n + 1)
+    elements = [tuple(s) for s in sigmas.tolist()]
+    for ch in all_chambers(n)[:: 1 if n < 3 else 5]:
+        images = [tuple(x) for x in chamber_images(sigmas, ch).tolist()]
+        assert images == [chamber_action(s, ch) for s in elements], ch
+        assert chamber_stabilizer(n, ch) == [
+            s for s in elements if chamber_action(s, ch) == ch
+        ]
 
 
 def evaluate_element(x: RingElement, ch: Chamber) -> int:
@@ -400,6 +446,30 @@ def test_rank_deficient_evaluation_matrix_fails_the_chamber_suite(monkeypatch):
     check = {c.id: c for c in run_suite("chambers", 2).checks}["evaluation-matrix-rank"]
     assert check.status == "fail"
     assert check.witness.startswith("rank 1 of the 8 x 8 evaluation matrix")
+
+
+def test_one_flipped_generator_value_fails_the_chamber_suite(monkeypatch):
+    # z1 flipped on one chamber drops the rank by exactly one, and every
+    # mod-2 dependency then involves the empty monomial: set padding bits
+    # in its row would lift the GF(2) rank back to full and skip the exact
+    # fallback
+    from hyperoct import chambers
+    from hyperoct.suites import run_suite
+
+    honest = chambers.generator_columns
+    at = all_chambers(2).index(chamber_from_str("(0,1,-2,-0,-1,2)"))
+
+    def flipped(n, gens):
+        columns = honest(n, gens)
+        columns[(1,)] = columns[(1,)].copy()
+        columns[(1,)][at] ^= True
+        return columns
+
+    monkeypatch.setattr(chambers, "generator_columns", flipped)
+    assert evaluation_matrix(2)[1] == 7
+    check = {c.id: c for c in run_suite("chambers", 2).checks}["evaluation-matrix-rank"]
+    assert check.status == "fail"
+    assert check.witness == "rank 7 of the 8 x 8 evaluation matrix is not the group order 8"
 
 
 def test_duplicated_column_fails_the_chamber_suite_at_rank_four(monkeypatch):

@@ -453,6 +453,27 @@ def _short_stabilizer(monkeypatch):
     }
 
 
+def _duplicated_orbit_image(monkeypatch):
+    from hyperoct import chambers
+
+    honest = chambers.chamber_images
+
+    def duplicated(sigmas, ch):
+        # the second element of the orbit reaches the chamber of the first;
+        # the stabilizer's elements, which may move the marked letter, keep
+        # their images
+        images = honest(sigmas, ch)
+        if (sigmas[:, 0] == 1).all():
+            images[1] = images[0]
+        return images
+
+    monkeypatch.setattr(chambers, "chamber_images", duplicated)
+    return {
+        "marked-point-action-simply-transitive":
+        "chamber (0,1,2,-0,-1,-2) is reached by 2 elements",
+    }
+
+
 def _flipped_indicator(monkeypatch):
     from hyperoct import chambers
 
@@ -486,6 +507,7 @@ def _flipped_indicator(monkeypatch):
             _flipped_indicator,
             ["indicator-table", "cyclic-relations-pointwise", "function-ring-relations-pointwise"],
         ),
+        ("chambers", _duplicated_orbit_image, ["marked-point-action-simply-transitive"]),
     ],
 )
 def test_failing_checks_name_their_first_mismatch(suite, inject, ids, monkeypatch):

@@ -56,14 +56,39 @@ def test_rank_gf2_matches_bitmask_elimination(seed):
         assert linalg.rank_gf2(m) == _gf2_rank_by_bitmasks(m)
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_packed_elimination_matches_bitmask_elimination(width):
+    rng = random.Random(width)
+    words = -(-width // 64)
+    for _ in range(40):
+        m = _random_01(rng, rng.randint(1, 20), width)
+        packed = linalg.pack_rows(m)
+        assert packed.shape == (len(m), words) and packed.dtype == np.dtype("<u8")
+        assert linalg.unpack_rows(packed, width).tolist() == m
+        assert not linalg.unpack_rows(packed, 64 * words)[:, width:].any()
+        before = packed.copy()
+        assert linalg.rank_gf2_packed(packed) == _gf2_rank_by_bitmasks(m)
+        assert (packed == before).all()  # eliminated on a copy
+
+
+def test_set_padding_bits_count_as_columns():
+    # two equal rows of width 3: rank 1, but a padding bit set in one row
+    # makes them independent
+    packed = linalg.pack_rows([[1, 0, 1], [1, 0, 1]])
+    assert linalg.rank_gf2_packed(packed) == linalg.full_rank_certificate(packed, 3) == 1
+    packed[1, 0] |= np.uint64(1) << np.uint64(63)
+    assert linalg.rank_gf2_packed(packed) == 2
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_full_rank_certificate_matches_rank_exact(seed):
     rng = random.Random(100 + seed)
     for _ in range(40):
         rows = rng.randint(1, 12)
-        m = _random_01(rng, rows, rng.randint(rows, 16))
+        cols = rng.randint(rows, 16)
+        m = _random_01(rng, rows, cols)
         exact = linalg.rank_exact(m)
-        assert linalg.full_rank_certificate(m) == exact
+        assert linalg.full_rank_certificate(linalg.pack_rows(m), cols) == exact
         assert linalg.rank_gf2(m) <= exact
 
 
@@ -93,8 +118,8 @@ def test_mod2_deficient_full_rank_matrix_reaches_the_fallback(monkeypatch):
         return honest(matrix)
 
     monkeypatch.setattr(linalg, "rank_mod_p", rank_mod_p)
-    assert linalg.full_rank_certificate(m) == 3
-    assert len(calls) == 1
+    assert linalg.full_rank_certificate(linalg.pack_rows(m), 3) == 3
+    assert len(calls) == 1 and calls[0].tolist() == m
 
 
 @pytest.mark.parametrize("seed", range(3))
