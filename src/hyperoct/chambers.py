@@ -13,9 +13,9 @@ the marked letter 0 is encoded 1 and -0 is encoded -1.
 Every cyclic-order indicator on every chamber is one boolean array per
 rank; the indexed products of these indicators realize the d = 1 function
 ring, giving a semantic oracle for the rewrite engine in hyperoct.rings.
-The evaluation of the nbc monomials reads the ring Z1, whose presentation
-the lifted space Y1 shares, and stays bit-packed over the chambers up to
-its GF(2) rank.  The chamber action has a scalar definition
+The evaluation of the nbc monomials reads the ring Z1, which carries both
+the B_n action and the lifted B_{n+1} one, and stays bit-packed over the
+chambers up to its GF(2) rank.  The chamber action has a scalar definition
 (``chamber_action``) and an array pass over many group elements at once
 (``chamber_images``).
 """
@@ -179,11 +179,10 @@ def evaluation_matrix(n: int):
 
     Row k is monomial k of ``nbc_basis()`` of Z1 packed over
     ``all_chambers(n)`` by ``linalg.pack_rows``, so the bits past the last
-    chamber are zero; ``linalg.unpack_rows`` gives the 0/1 matrix.  Z1 and
-    the lifted Y1 share this presentation (generators, rewrite table, nbc
-    basis) and differ only in the group action, which the evaluation does
-    not read.  Rank 2^n n! (full) certifies the monomials are a basis of
-    the function ring.  The rank is returned, not checked.
+    chamber are zero; ``linalg.unpack_rows`` gives the 0/1 matrix.  The
+    evaluation reads no group action, so it serves the B_n and the lifted
+    B_{n+1} action on Z1 alike.  Rank 2^n n! (full) certifies the monomials
+    are a basis of the function ring.  The rank is returned, not checked.
 
     A monomial's row is the AND of the row of its prefix (the monomial
     without its top generator) and its top generator's row.  Monomial

@@ -9,6 +9,11 @@ the trace of sigma on the corresponding graded piece.  For the
 non-homogeneous d = 1 ring the same diagonal entries compute the traces
 on the associated graded pieces.
 
+A representation is named by its space: ``Z1`` and ``Z3`` are B_n acting
+on the ring of that name at rank n; ``Y1`` and ``Y3``, the lifted spaces,
+are B_{n+1} acting on the same two rings.  There is no ``Y`` ring:
+``get_ring`` builds only ``Z1`` and ``Z3``.
+
 Only those coefficients are computed: the image of all but the last
 generator of m is shared by every basis monomial with the same prefix,
 and of its product with the last generator's image only the coefficient
@@ -29,6 +34,10 @@ from .permutations import (
 from .rings import Monomial, get_ring, type_of
 
 
+# representation -> the presented ring it acts on
+_RING_OF = {"Z1": "Z1", "Z3": "Z3", "Y1": "Z1", "Y3": "Z3"}
+
+
 def acting_rank(space: str, rank: int) -> int:
     return rank + 1 if space.startswith("Y") else rank
 
@@ -38,7 +47,7 @@ def diagonal_coefficients(
     space: str, rank: int
 ) -> dict[SignedPartition, tuple[int, ...]]:
     """Per class representative, the action's diagonal on the nbc basis."""
-    ring = get_ring(space, rank)
+    ring = get_ring(_RING_OF[space], rank)
     basis = ring.nbc_masks()
     n_act = acting_rank(space, rank)
     out: dict[SignedPartition, tuple[int, ...]] = {}
@@ -68,7 +77,7 @@ def diagonal_coefficients(
 
 
 def _basis_buckets(space: str, rank: int, keyfn):
-    ring = get_ring(space, rank)
+    ring = get_ring(_RING_OF[space], rank)
     buckets: dict[object, list[int]] = {}
     for pos, m in enumerate(ring.nbc_basis()):
         buckets.setdefault(keyfn(m), []).append(pos)

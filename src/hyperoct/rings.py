@@ -1,6 +1,6 @@
 """Presented cohomology rings of the orbit-configuration spaces, d = 1 and 3.
 
-Four spaces share one rewrite engine over the canonical generators
+Two rings share one rewrite engine over the canonical generators
 
     z_i            (loops,  i = 1..rank)
     z_ij+ , z_ij-  (pairs,  1 <= i < j <= rank)
@@ -9,9 +9,12 @@ Four spaces share one rewrite engine over the canonical generators
 * ``Z1``: the function ring of the d=1 space (idempotent generators, so
   reductions are non-homogeneous; the associated graded data is read off
   degree-by-degree).
-* ``Y3`` / ``Y1``: the lifted spaces on ``rank``+1 points, stored in the
-  same coordinates via the marked-point identification; only the group
-  action differs (one extra letter that may leave the marked point).
+
+Each ring carries two actions.  B_rank acts by substituting signed
+indices.  B_{rank+1} acts as on the lifted space on ``rank``+1 points,
+which the marked-point identification stores in the same coordinates: the
+ring is the same, and the extra letter may move the marked point.
+``act_on_generator`` picks the action from the rank of the element.
 
 Non-canonical labels (swapped or negated indices) rewrite to affine-linear
 combinations of canonical generators; products are straightened to the
@@ -40,7 +43,7 @@ their masks share a bit and is otherwise their union; in the d = 1 rings
 the rank order, ``(popcount, mask)`` is the monomial order, and the rule
 table is keyed by the mask of the straightened generator pair.  Tuples of
 generators appear only at the edges: ``RingElement.terms``,
-``nbc_basis``, ``rules`` and the cache files.
+``nbc_basis`` and ``rules``; the cache files store the masks.
 
 Coefficients are Python ints throughout: orienting a rule divides by its
 lead coefficient exactly (every rule coefficient lies in -2..2 at rank
@@ -51,7 +54,6 @@ number.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
@@ -62,7 +64,7 @@ Gen = tuple  # (i,) loop; (i, j, s) pair, i < j, s in {1, -1}; (0,) is reserved
 Monomial = tuple  # sorted tuple of Gens
 Mask = int  # square-free monomial: bit k set for the ring's generator k
 
-SPACES = ("Z1", "Z3", "Y1", "Y3")
+SPACES = ("Z1", "Z3")
 
 _RULE_STEP_BOUND = 1_000_000
 
@@ -89,26 +91,6 @@ def mask_order_key(m: Mask) -> tuple[int, int]:
 
 def gen_hand(g: Gen) -> int:
     return g[0] if len(g) == 1 else g[1]
-
-
-def gen_to_token(g: Gen) -> str:
-    if len(g) == 1:
-        return f"z{g[0]}"
-    i, j, s = g
-    if i > 9 or j > 9:
-        raise ValueError("token form only supports single-digit indices")
-    return f"z{i}{j}{'+' if s > 0 else '-'}"
-
-
-def token_to_gen(token: str) -> Gen:
-    body = token[1:]
-    if body[-1] in "+-":
-        sign = 1 if body[-1] == "+" else -1
-        digits = body[:-1]
-        if len(digits) != 2:
-            raise ValueError(f"ambiguous pair token {token!r}")
-        return (int(digits[0]), int(digits[1]), sign)
-    return (int(body),)
 
 
 def gen_pretty(g: Gen) -> str:
@@ -224,7 +206,7 @@ class RingElement:
 
 
 class PresentedRing:
-    """Rewrite engine for one of the four presented spaces at a fixed rank."""
+    """Rewrite engine for one of the two presented spaces at a fixed rank."""
 
     def __init__(self, space: str, rank: int):
         if space not in SPACES:
@@ -232,7 +214,6 @@ class PresentedRing:
         self.space = space
         self.rank = rank
         self.graded = space.endswith("3")
-        self.lifted = space.startswith("Y")
         self.gens: list[Gen] = [(i,) for i in range(1, rank + 1)] + [
             (i, j, s)
             for j in range(2, rank + 1)
@@ -414,9 +395,9 @@ class PresentedRing:
         self._nf_cache.clear()
 
     def _build_rules(self):
-        key = f"rewrite-v1-{self.space}-n{self.rank}"
+        key = f"rewrite-v2-{self.space}-n{self.rank}"
         stored = cache.load(key)
-        if stored is not None and self._rules_from_cache(stored):
+        if stored is not None and self._table_from_cache(stored):
             return
         for poly in self._relation_instances():
             reduced = self._reduce_poly(poly)
@@ -424,8 +405,7 @@ class PresentedRing:
                 continue
             lead = max(reduced, key=mask_order_key)
             lead_c = reduced[lead]
-            low = lead & -lead
-            if lead.bit_count() != 2 or not lead & self._higher_in_hand[low.bit_length() - 1]:
+            if not self._is_rule_pair(lead):
                 raise AssertionError(
                     f"irreducible relation with normal-form lead {self.monomial_of(lead)} "
                     f"in {self.space}"
@@ -445,7 +425,13 @@ class PresentedRing:
             self._nf_cache.clear()
         self._assert_complete()
         self._interreduce()
-        cache.store(key, self._rules_to_cache())
+        table = [[pair, sorted(rhs.items())] for pair, rhs in sorted(self._table.items())]
+        cache.store(key, {"space": self.space, "rank": self.rank, "table": table})
+
+    def _is_rule_pair(self, m: Mask) -> bool:
+        """Whether ``m`` is two distinct generators of one hand."""
+        low = m & -m
+        return m.bit_count() == 2 and bool(m & self._higher_in_hand[low.bit_length() - 1])
 
     def _assert_complete(self):
         for k, g in enumerate(self._bit_gens):
@@ -464,43 +450,31 @@ class PresentedRing:
             self._table[pair] = self._reduce_poly(rhs)
         self._nf_cache.clear()
 
-    def _rules_to_cache(self):
-        out = {}
-        for (g1, g2), rhs in self.rules.items():
-            key = gen_to_token(g1) + "*" + gen_to_token(g2)
-            out[key] = [
-                {
-                    "monomial": [gen_to_token(g) for g in m],
-                    "coeff": f"{c.numerator}/{c.denominator}",
-                }
-                for m, c in sorted(rhs.items(), key=lambda kv: monomial_order_key(kv[0]))
-            ]
-        return {"space": self.space, "rank": self.rank, "rules": out}
+    def _table_from_cache(self, stored) -> bool:
+        """Install a stored table ``[[pair, [[mask, coeff], ...]], ...]`` if it
+        is well formed, complete and reduces every relation to zero."""
+        bound = 1 << len(self.gens)
 
-    def _rules_from_cache(self, stored) -> bool:
+        def mask(m) -> Mask:
+            if type(m) is not int or not 0 <= m < bound:
+                raise ValueError(f"mask {m!r} out of range in {self.space}")
+            return m
+
         try:
             if stored["space"] != self.space or stored["rank"] != self.rank:
                 return False
             table: dict[Mask, dict[Mask, int]] = {}
-            for key, rhs_list in stored["rules"].items():
-                t1, t2 = key.split("*")
-                g1, g2 = token_to_gen(t1), token_to_gen(t2)
-                if g1 == g2 or gen_hand(g1) != gen_hand(g2):
-                    raise ValueError(f"rule key {key!r} is not a same-hand pair")
-                rhs = {}
-                for item in rhs_list:
-                    m = monomial_sort(token_to_gen(t) for t in item["monomial"])
-                    rhs[self.mask_of(m)] = _integral(Fraction(item["coeff"]))
-                pair = self.bits[g1] | self.bits[g2]
-                if table.setdefault(pair, rhs) != rhs:
-                    raise ValueError(f"the two orders of rule {key!r} disagree")
-            if len(stored["rules"]) != 2 * len(table):
-                raise ValueError("a rule is stored in one order only")
+            for pair, terms in stored["table"]:
+                if not self._is_rule_pair(mask(pair)) or pair in table:
+                    raise ValueError(f"rule key {pair!r} is not a new same-hand pair")
+                rhs = table[pair] = {mask(m): c for m, c in terms}
+                if len(rhs) != len(terms) or any(type(c) is not int for c in rhs.values()):
+                    raise ValueError(f"rule {pair!r} repeats a monomial or is not integral")
             self._set_table(table)
             self._assert_complete()
             self.verify_relations()
             return True
-        except (KeyError, ValueError, TypeError, ZeroDivisionError, AssertionError, RuntimeError):
+        except (KeyError, ValueError, TypeError, AssertionError, RuntimeError):
             # RuntimeError covers a table whose rewriting never terminates
             self._set_table({})
             return False
@@ -662,15 +636,19 @@ class PresentedRing:
         )
 
     def act_on_generator(self, sigma: SignedPerm, g: Gen) -> RingElement:
-        if not self.lifted:
-            if len(sigma) != self.rank:
-                raise ValueError("element rank must match the ring rank")
+        """The image of ``g`` under ``sigma`` in B_rank, by signed-index
+        substitution, or in B_{rank+1}, by the letter triple of ``g`` with the
+        marked point as letter 0 (``permutations.letter``)."""
+        if len(sigma) == self.rank:
             if len(g) == 1:
                 return self.canonical_loop(apply(sigma, g[0]))
             i, j, s = g
             return self.canonical_pair(apply(sigma, i), apply(sigma, s * j))
         if len(sigma) != self.rank + 1:
-            raise ValueError("lifted spaces take elements of rank+1")
+            raise ValueError(
+                f"{self.space} at rank {self.rank} is acted on by B_{self.rank} "
+                f"or B_{self.rank + 1}, not B_{len(sigma)}"
+            )
         zero_img = apply(sigma, 1)
         if len(g) == 1:
             return self._letter_triple(

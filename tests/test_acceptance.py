@@ -296,8 +296,6 @@ def test_criterion_14_property_suites():
     # defining relations (and their group images, by signed instantiation)
     for space in ("Z1", "Z3"):
         get_ring(space, 4).verify_relations()
-    for space in ("Y1", "Y3"):
-        get_ring(space, 3).verify_relations()
     # orthonormality of the irreducible family, n <= 4
     for n in (1, 2, 3, 4):
         table = character_table(n)

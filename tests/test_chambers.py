@@ -30,6 +30,7 @@ from hyperoct.linalg import rank_exact, unpack_rows
 from hyperoct.permutations import (
     all_signed_perms,
     compose,
+    group_generators,
     group_order,
     inverse,
 )
@@ -273,7 +274,8 @@ def evaluate_element(x: RingElement, ch: Chamber) -> int:
 
 @pytest.mark.parametrize("space,rank", [("Z1", 2), ("Y1", 2)])
 def test_ring_action_matches_chamber_semantics(space, rank):
-    ring = get_ring(space, rank)
+    # Y1 is the lifted action of B_{rank+1} on the ring Z1
+    ring = get_ring("Z1", rank)
     acting = rank if space == "Z1" else rank + 1
     chams = all_chambers(rank)
     for sigma in all_signed_perms(acting):
@@ -291,12 +293,10 @@ def test_ring_action_matches_chamber_semantics(space, rank):
 
 
 def test_graded_action_is_top_part_of_function_ring_action():
-    # the d=3 generator images are the constant-free parts of the d=1 images
-    for space3, space1, rank, acting in (
-        ("Z3", "Z1", 2, 2),
-        ("Y3", "Y1", 2, 3),
-    ):
-        r3, r1 = get_ring(space3, rank), get_ring(space1, rank)
+    # the d=3 generator images are the constant-free parts of the d=1
+    # images, under B_2 and under the lifted B_3
+    r3, r1 = get_ring("Z3", 2), get_ring("Z1", 2)
+    for acting in (2, 3):
         for sigma in all_signed_perms(acting):
             for g in r3.gens:
                 img3 = r3.act_on_generator(sigma, g)
@@ -315,19 +315,18 @@ def test_evaluate_element_rejects_graded_input():
 def test_products_agree_with_pointwise_multiplication(space, rank):
     # the rewrite product of basis monomials must evaluate, chamber by
     # chamber, to the product of the evaluations: the semantic oracle for
-    # the whole multiplication table
-    ring = get_ring(space, rank)
-    basis = ring.nbc_basis()
+    # the whole multiplication table; for Y1, of the basis monomials'
+    # images under the generators of the lifted group
+    ring = get_ring("Z1", rank)
+    elements = [ring.monomial(m) for m in ring.nbc_basis()]
+    if space == "Y1":
+        elements = [ring.act(s, x) for s in group_generators(rank + 1) for x in elements]
     chams = all_chambers(rank)
-    values = {
-        m: [evaluate_element(ring.monomial(m), ch) for ch in chams] for m in basis
-    }
-    for m1 in basis:
-        for m2 in basis:
-            product = ring.monomial(m1) * ring.monomial(m2)
-            got = [evaluate_element(product, ch) for ch in chams]
-            want = [a * b for a, b in zip(values[m1], values[m2])]
-            assert got == want, (m1, m2)
+    values = [[evaluate_element(x, ch) for ch in chams] for x in elements]
+    for x, vx in zip(elements, values):
+        for y, vy in zip(elements, values):
+            got = [evaluate_element(x * y, ch) for ch in chams]
+            assert got == [a * b for a, b in zip(vx, vy)], (x, y)
 
 
 @pytest.mark.parametrize("rank", [2, 3])

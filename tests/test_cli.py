@@ -128,16 +128,25 @@ def test_verify_all_report_matches_golden_bytes():
 
 
 def test_reports_deterministic_with_cold_and_warm_cache(tmp_path, monkeypatch):
+    # the benchmark's warm gate: every ring the warm run builds loads its
+    # rewrite table from the cache, one load per build, and nothing is stored
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    from hyperoct import rings
+    from hyperoct import rings, ringreps
 
-    rings.get_ring.cache_clear()
-    cold = run_suite("hilbert", 3).to_json()
-    assert (tmp_path / "rewrite-v1-Z3-n3.json").exists()
-    rings.get_ring.cache_clear()
+    def run_fresh():
+        for fn in (rings.get_ring, ringreps.diagonal_coefficients, ringreps._type_buckets):
+            fn.cache_clear()
+        return run_suite("all", 3).to_json()
+
+    cold = run_fresh()
+    assert (tmp_path / "rewrite-v2-Z3-n3.json").exists()
     stored = _counting_stores(monkeypatch)
-    warm = run_suite("hilbert", 3).to_json()
-    assert stored == []  # every ring of the warm run loaded from the cache
+    loads = _counting_loads(monkeypatch)
+    warm = run_fresh()
+    builds = rings.get_ring.cache_info().misses
+    assert builds > 0 and stored == []
+    assert all(hit and key.startswith("rewrite-") for key, hit in loads)
+    assert len(loads) == builds
     assert _strip_elapsed(cold) == _strip_elapsed(warm)
     rings.get_ring.cache_clear()
 
@@ -146,7 +155,7 @@ def test_poisoned_cache_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
     from hyperoct import rings
 
-    entry = tmp_path / "rewrite-v1-Z3-n2.json"
+    entry = tmp_path / "rewrite-v2-Z3-n2.json"
     entry.write_text("{ not json }")
     rings.get_ring.cache_clear()
     report = run_suite("hilbert", 2)
@@ -271,12 +280,32 @@ def _counting_stores(monkeypatch) -> list:
     return stored
 
 
+def _counting_loads(monkeypatch) -> list:
+    """(key, hit) per ``cache.load`` call."""
+    loads = []
+    real_load = cache.load
+
+    def load(key):
+        obj = real_load(key)
+        loads.append((key, obj is not None))
+        return obj
+
+    monkeypatch.setattr(cache, "load", load)
+    return loads
+
+
 def test_rewrite_table_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
     from hyperoct.rings import PresentedRing
 
     fresh = PresentedRing("Z3", 2)
-    assert (tmp_path / "rewrite-v1-Z3-n2.json").exists()
+    # bits z1 = 1, z2 = 2, z12+ = 4, z12- = 8; one entry per rule, the
+    # same-hand pair's mask first: z2*z12+ = z1*z12+ - z1*z2, and so on
+    assert json.loads((tmp_path / "rewrite-v2-Z3-n2.json").read_text()) == {
+        "space": "Z3",
+        "rank": 2,
+        "table": [[6, [[3, -1], [5, 1]]], [10, [[3, -1], [9, -1]]], [12, [[5, -1], [9, -1]]]],
+    }
     stored = _counting_stores(monkeypatch)
     cached = PresentedRing("Z3", 2)
     assert stored == []  # a certified load stores nothing
@@ -286,42 +315,66 @@ def test_rewrite_table_cache_roundtrip(tmp_path, monkeypatch):
     assert z2 * z12 == z1 * z12 - z1 * z2
 
 
-def test_poisoned_rewrite_table_is_recertified(tmp_path, monkeypatch):
-    # a well-formed table with one wrong coefficient passes every format
-    # and completeness check; only reducing the relations again catches it
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+def test_rank_ten_ring_builds_and_reloads_from_cache(tmp_path, monkeypatch):
+    # rank 10 is the first with two-digit indices
     from hyperoct.rings import PresentedRing
 
-    PresentedRing("Z3", 3)
-    entry = tmp_path / "rewrite-v1-Z3-n3.json"
-    good = entry.read_text()
-    table = json.loads(good)
-    for key in ("z2*z12+", "z12+*z2"):  # both orders, so they still agree
-        term = table["rules"][key][0]
-        num, den = term["coeff"].split("/")
-        term["coeff"] = f"{-int(num)}/{den}"
-    entry.write_text(json.dumps(table))
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    uncached = PresentedRing("Z3", 10)
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    fresh = PresentedRing("Z3", 10)
+    assert (tmp_path / "rewrite-v2-Z3-n10.json").exists()
     stored = _counting_stores(monkeypatch)
-    loaded = PresentedRing("Z3", 3)
-    assert stored == ["rewrite-v1-Z3-n3"]
-    monkeypatch.delenv(cache.ENV_VAR)
-    assert loaded.rules == PresentedRing("Z3", 3).rules
-    assert json.loads(entry.read_text()) == json.loads(good)
+    loaded = PresentedRing("Z3", 10)
+    assert stored == []
+    assert loaded.rules == fresh.rules == uncached.rules
+    z9, z10 = loaded.generator((9,)), loaded.generator((10,))
+    z = loaded.generator((9, 10, 1))
+    assert z10 * z == z9 * z - z9 * z10
 
 
-def test_rewrite_table_with_disagreeing_pair_orders_is_rebuilt(tmp_path, monkeypatch):
-    # the table stores each rule under both generator orders; a file whose
-    # two copies differ is rejected before any relation is reduced
+def _first_rule(table):
+    return table["table"][0]
+
+
+def _wrong_hand_key(table, tmp_path):
+    table["table"].append([0b11, []])  # z1 and z2, two hands
+
+
+def _duplicated_key(table, tmp_path):
+    table["table"].append(_first_rule(table))
+
+
+def _mask_out_of_range(table, tmp_path):
+    _first_rule(table)[1][0][0] = 1 << 9  # Z3 has 9 generators at rank 3
+
+
+def _non_int_coefficient(table, tmp_path):
+    term = _first_rule(table)[1][0]
+    term[1] = float(term[1])
+
+
+def _other_ring(table, tmp_path):
+    from hyperoct.rings import PresentedRing
+
+    PresentedRing("Z1", 3)
+    table.clear()
+    table.update(json.loads((tmp_path / "rewrite-v2-Z1-n3.json").read_text()))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_wrong_hand_key, _duplicated_key, _mask_out_of_range, _non_int_coefficient, _other_ring],
+)
+def test_malformed_rewrite_table_is_rebuilt(corrupt, tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
     from hyperoct.rings import PresentedRing
 
     PresentedRing("Z3", 3)
-    entry = tmp_path / "rewrite-v1-Z3-n3.json"
-    good = entry.read_text()
-    table = json.loads(good)
-    term = table["rules"]["z12+*z2"][0]
-    num, den = term["coeff"].split("/")
-    term["coeff"] = f"{-int(num)}/{den}"
+    entry = tmp_path / "rewrite-v2-Z3-n3.json"
+    good = json.loads(entry.read_text())
+    table = json.loads(entry.read_text())
+    corrupt(table, tmp_path)
     entry.write_text(json.dumps(table))
     stored = _counting_stores(monkeypatch)
     verified = []
@@ -333,7 +386,29 @@ def test_rewrite_table_with_disagreeing_pair_orders_is_rebuilt(tmp_path, monkeyp
 
     monkeypatch.setattr(PresentedRing, "verify_relations", verify_relations)
     PresentedRing("Z3", 3)
-    assert stored == ["rewrite-v1-Z3-n3"] and verified == []
+    # rejected before any relation is reduced, then rebuilt and stored
+    assert stored == ["rewrite-v2-Z3-n3"] and verified == []
+    assert json.loads(entry.read_text()) == good
+
+
+def test_poisoned_rewrite_table_is_recertified(tmp_path, monkeypatch):
+    # a well-formed table with one wrong coefficient passes every format
+    # and completeness check; only reducing the relations again catches it
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    from hyperoct.rings import PresentedRing
+
+    PresentedRing("Z3", 3)
+    entry = tmp_path / "rewrite-v2-Z3-n3.json"
+    good = entry.read_text()
+    table = json.loads(good)
+    term = _first_rule(table)[1][0]
+    term[1] = -term[1]
+    entry.write_text(json.dumps(table))
+    stored = _counting_stores(monkeypatch)
+    loaded = PresentedRing("Z3", 3)
+    assert stored == ["rewrite-v2-Z3-n3"]
+    monkeypatch.delenv(cache.ENV_VAR)
+    assert loaded.rules == PresentedRing("Z3", 3).rules
     assert json.loads(entry.read_text()) == json.loads(good)
 
 

@@ -10,6 +10,7 @@ from hyperoct.permutations import (
     group_generators,
     group_order,
     identity,
+    letter,
     signed_partitions,
     standard_representative,
 )
@@ -33,6 +34,14 @@ from hyperoct.rings import (
     monomial_sort,
     type_of,
 )
+
+# the four representations: B_n on Z1 and Z3, and the lifted B_{n+1} on them
+REPRESENTATIONS = ("Z1", "Z3", "Y1", "Y3")
+
+
+def _ring_of(space: str, rank: int):
+    """The ring a representation acts on, and the rank of its group."""
+    return get_ring("Z" + space[1], rank), acting_rank(space, rank)
 
 
 def test_canonicalize_published_relabelings():
@@ -84,9 +93,9 @@ def test_nbc_basis_rank_two_matches_published_lists():
     }
 
 
-@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("space", REPRESENTATIONS)
 def test_nbc_basis_is_built_once_and_returned_as_a_new_list(space):
-    ring = get_ring(space, 3)
+    ring, _ = _ring_of(space, 3)
     basis = ring.nbc_basis()
     assert basis == sorted(basis, key=monomial_order_key)
     assert len(set(basis)) == len(basis) == group_order(3)
@@ -96,6 +105,9 @@ def test_nbc_basis_is_built_once_and_returned_as_a_new_list(space):
     for degree in (None, 0, 1, 2, 3):
         want = [m for m in basis if degree is None or len(m) == degree]
         assert ring.nbc_basis(degree=degree) == want
+    # a representation is traced over its ring's basis
+    by_degree = {d: [k for k, m in enumerate(basis) if len(m) == d] for d in range(4)}
+    assert _basis_buckets(space, 3, len) == by_degree
     basis.clear()  # callers may mutate what they get
     assert len(ring.nbc_basis()) == group_order(3)
     assert [ring.monomial_of(k) for k in ring.nbc_masks()] == ring.nbc_basis()
@@ -115,17 +127,32 @@ def test_hilbert_series_values():
     assert hilbert_coefficients(3) == [1, 9, 23, 15]
 
 
-@pytest.mark.parametrize("space", ["Z1", "Z3", "Y1", "Y3"])
+@pytest.mark.parametrize("space", REPRESENTATIONS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_defining_relations_reduce_to_zero(space, n):
-    assert get_ring(space, n).verify_relations() > 0 or n == 1
+    ring, acting = _ring_of(space, n)
+    if acting == n:
+        assert ring.verify_relations() > 0 or n == 1
+        return
+    # the lifted action is well defined: it carries every relation instance
+    # to zero, and squares (d = 3) or idempotents (d = 1) to the same
+    for sigma in group_generators(acting):
+        for poly in ring._relation_instances():
+            assert ring.act(sigma, RingElement._of(ring, poly)).is_zero(), (sigma, poly)
+        for g in ring.gens:
+            img = ring.act_on_generator(sigma, g)
+            assert img * img == (ring.zero() if ring.graded else img), (sigma, g)
 
 
-@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("space", REPRESENTATIONS)
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_rule_tables_are_integral(space, rank):
-    rules = get_ring(space, rank).rules
-    assert all(type(c) is int for rhs in rules.values() for c in rhs.values())
+    ring, acting = _ring_of(space, rank)
+    assert all(type(c) is int for rhs in ring.rules.values() for c in rhs.values())
+    for sigma in group_generators(acting):
+        for g in ring.gens:
+            coeffs = ring.act_on_generator(sigma, g).masks.values()
+            assert all(type(c) is int for c in coeffs), (sigma, g)
 
 
 def _reference_square_free(ring, gens):
@@ -144,6 +171,19 @@ def _reference_collision(ring, m):
             if gen_hand(m[j]) == gen_hand(m[i]) and (m[i], m[j]) in ring.rules:
                 return m[i], m[j]
     return None
+
+
+def _reference_product(ring, p, q, memo):
+    """Product of two tuple polynomials by the tuple reference."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            merged = _reference_square_free(ring, m1 + m2)
+            if merged is None:
+                continue
+            for m, c in _reference_normal_form(ring, merged, memo).items():
+                out[m] = out.get(m, 0) + c1 * c2 * c
+    return {m: c for m, c in out.items() if c}
 
 
 def _reference_normal_form(ring, m, memo):
@@ -167,18 +207,27 @@ def _reference_normal_form(ring, m, memo):
     return out
 
 
-@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("space", REPRESENTATIONS)
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_mask_straightening_matches_tuple_reference(space, rank):
-    ring = get_ring(space, rank)
+    ring, acting = _ring_of(space, rank)
     basis = ring.nbc_basis()
     memo = {}
-    for m1 in basis:
-        for m2 in basis:
-            merged = _reference_square_free(ring, m1 + m2)
-            want = {} if merged is None else _reference_normal_form(ring, merged, memo)
-            assert ring.reduce_raw({m1 + m2: 1}).terms == want, (m1, m2)
-            assert (ring.monomial(m1) * ring.monomial(m2)).terms == want, (m1, m2)
+    if acting == rank:
+        for m1 in basis:
+            for m2 in basis:
+                want = _reference_product(ring, {m1: 1}, {m2: 1}, memo)
+                assert ring.reduce_raw({m1 + m2: 1}).terms == want, (m1, m2)
+                assert (ring.monomial(m1) * ring.monomial(m2)).terms == want, (m1, m2)
+    else:
+        # the products the lifted action forms: each basis monomial's image
+        for sigma in group_generators(acting):
+            images = {g: ring.act_on_generator(sigma, g).terms for g in ring.gens}
+            for m in basis:
+                want = {(): 1}
+                for g in m:
+                    want = _reference_product(ring, want, images[g], memo)
+                assert ring.act(sigma, ring.monomial(m)).terms == want, (sigma, m)
     # the mask engine rewrites the same pair first at every monomial visited
     for m in memo:
         hit = _reference_collision(ring, m)
@@ -201,13 +250,13 @@ def test_ring_elements_reject_non_integral_coefficients():
 
 @pytest.mark.parametrize(
     "space,rank",
-    [(s, r) for s in SPACES for r in (1, 2, 3)] + [("Z3", 4), ("Z1", 4)],
+    [(s, r) for s in REPRESENTATIONS for r in (1, 2, 3)] + [("Z3", 4), ("Z1", 4)],
 )
 def test_diagonal_coefficients_match_full_action(space, rank):
-    ring = get_ring(space, rank)
+    ring, acting = _ring_of(space, rank)
     basis = ring.nbc_basis()
     diag = diagonal_coefficients(space, rank)
-    assert set(diag) == set(signed_partitions(acting_rank(space, rank)))
+    assert set(diag) == set(signed_partitions(acting))
     for lam, row in diag.items():
         sigma = standard_representative(lam)
         assert len(row) == len(basis)
@@ -227,10 +276,33 @@ def test_action_published_cells():
 
 def test_lifted_action_letter_swap():
     # swapping the marked letter with letter 1 negates both rank-2 generators
-    ry = get_ring("Y3", 2)
+    ring = get_ring("Z3", 2)
     swap = (2, 1, 3)
-    assert ry.act(swap, ry.generator((1, 2, 1))) == -1 * ry.generator((1, 2, 1))
-    assert ry.act(swap, ry.generator((1,))) == -1 * ry.generator((1,))
+    assert ring.act(swap, ring.generator((1, 2, 1))) == -1 * ring.generator((1, 2, 1))
+    assert ring.act(swap, ring.generator((1,))) == -1 * ring.generator((1,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lifted_action_restricts_to_the_plain_action(n):
+    # the elements of B_{n+1} fixing the marked letter act as B_n does
+    for space in SPACES:
+        ring = get_ring(space, n)
+        for sigma in all_signed_perms(n):
+            fixing = (1, *map(letter, sigma))
+            for g in ring.gens:
+                assert ring.act_on_generator(fixing, g) == ring.act_on_generator(sigma, g)
+
+
+def test_action_rejects_an_element_of_the_wrong_rank():
+    ring = get_ring("Z1", 2)
+    for sigma in ((1,), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            ring.act_on_generator(sigma, (1,))
+
+
+def test_there_is_no_lifted_ring():
+    with pytest.raises(ValueError):
+        get_ring("Y3", 2)
 
 
 def test_eigenvectors_of_one_dimensional_pieces():
@@ -264,8 +336,8 @@ def test_action_axioms_on_generator_pairs(space, n):
 @pytest.mark.parametrize("space", ["Y1", "Y3"])
 def test_lifted_action_axioms(space):
     m = 2
-    ring = get_ring(space, m)
-    gens = group_generators(m + 1)
+    ring, acting = _ring_of(space, m)
+    gens = group_generators(acting)
     basis = [ring.monomial(mm) for mm in ring.nbc_basis()]
     for a in gens:
         for b in gens:
