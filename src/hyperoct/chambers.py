@@ -13,11 +13,12 @@ the marked letter 0 is encoded 1 and -0 is encoded -1.
 Every cyclic-order indicator on every chamber is one boolean array per
 rank; the indexed products of these indicators realize the d = 1 function
 ring, giving a semantic oracle for the rewrite engine in hyperoct.rings.
-The evaluation of the nbc monomials reads the ring Z1, which carries both
-the B_n action and the lifted B_{n+1} one, and stays bit-packed over the
-chambers up to its GF(2) rank.  The chamber action has a scalar definition
-(``chamber_action``) and an array pass over many group elements at once
-(``chamber_images``).
+The evaluation of the nbc monomials reads the ring Z1, on which B_{n+1}
+acts (B_n through its lift, the elements fixing the marked letter), and
+stays bit-packed over the chambers up to its GF(2) rank.  The chamber
+action has a scalar definition (``chamber_action``) and an array pass over
+many group elements at once (``chamber_images``); the elements are rows of
+``groupdata.element_rows``, in the one numbering of ``get_group``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .groupdata import element_rows
 from .linalg import full_rank_certificate, pack_rows
 from .permutations import SignedPerm, apply, letter
 from .rings import get_ring
@@ -91,14 +93,6 @@ def chamber_action(sigma: SignedPerm, ch: Chamber) -> Chamber:
     return tuple(word[(at + t) % len(word)] for t in range(1, n + 1))
 
 
-def signed_perm_rows(n: int) -> np.ndarray:
-    """The elements of ``all_signed_perms(n)``, in its order, as the rows of
-    one int8 array."""
-    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
-    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
-    return (perms[:, None] * signs[None]).reshape(-1, n)
-
-
 def chamber_images(sigmas: np.ndarray, ch: Chamber) -> np.ndarray:
     """``chamber_action`` of every row of ``sigmas`` (elements of B_{n+1})
     on ch, one image chamber per row."""
@@ -110,8 +104,9 @@ def chamber_images(sigmas: np.ndarray, ch: Chamber) -> np.ndarray:
 
 
 def chamber_stabilizer(n: int, ch: Chamber) -> list[SignedPerm]:
-    """The elements of B_{n+1} fixing ch, in ``all_signed_perms`` order."""
-    sigmas = signed_perm_rows(n + 1)
+    """The elements of B_{n+1} fixing ch, in the order of
+    ``get_group(n + 1).elements``."""
+    sigmas = element_rows(n + 1)
     fixed = (chamber_images(sigmas, ch) == ch).all(axis=1)
     return [tuple(s) for s in sigmas[fixed].tolist()]
 

@@ -358,13 +358,9 @@ def coxeter_element(n: int) -> SignedPerm:
 
 
 def cyclic_subgroup(g: SignedPerm) -> list[SignedPerm]:
-    n = len(g)
-    out, cur = [], tuple(range(1, n + 1))
-    while True:
-        out.append(cur)
-        cur = compose(cur, g)
-        if cur == out[0]:
-            return out
+    """The powers of g, from the identity, by the closure of
+    ``subgroup_character`` on the one generator g."""
+    return list(subgroup_character(1, [(g, 0)])[1])
 
 
 def coset_permutation_character(n: int, subgroup) -> ClassFunction:

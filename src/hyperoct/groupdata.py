@@ -15,7 +15,9 @@ t_e t_d = t_{e xor d}, so
 and products and inverses need only the n! x n! table of S_n
 (``perm_table``) and the n! x 2^n action ``twist[s, d] = s.d``: 4.5 MB at
 n = 6, where the int32 Cayley table of B_n takes 7.9 GiB.  Instances are
-cached per n.
+cached per n.  ``element_rows`` lists the elements in this numbering as
+one int8 array, without building the tables; the chamber action reads
+B_{n+1} and B_n from it.
 
 Characters are summed over the conjugation sweep of the class
 representatives (``class_sweep``), built by index arithmetic on first use.
@@ -55,10 +57,21 @@ class GroupData:
         return (e ^ self.twist[s, d]) * k + self.perm_table[s, r]
 
 
+def element_rows(n: int) -> np.ndarray:
+    """The elements of B_n as the rows of one int8 array, in the order of
+    ``get_group(n).elements``: row e * n! + s is t_e s."""
+    k = factorial(n)
+    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8).reshape(k, n)
+    masks = np.arange(1 << n)[:, None, None]
+    signs = 1 - 2 * (masks >> (perms - 1) & 1)  # [e, s, p]: t_e flips the value s(p)
+    return (signs * perms).astype(np.int8).reshape(-1, n)
+
+
 @lru_cache(maxsize=None)
 def get_group(n: int) -> GroupData:
     k = factorial(n)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(k, n)
+    rows = element_rows(n)
+    perms = rows[:k].astype(np.intp) - 1  # the rows with no sign flip, 0-based
     # a permutation's lexicographic rank from its entries read as base-n digits
     weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
     rank = np.zeros(n**n, dtype=np.intp)
@@ -67,8 +80,7 @@ def get_group(n: int) -> GroupData:
     masks = np.arange(1 << n)
     # bit v of d moves to bit s(v) of s.d
     twist = ((masks[None, :, None] >> np.arange(n) & 1) << perms[:, None, :]).sum(axis=2)
-    signs = 1 - 2 * (masks[:, None, None] >> perms & 1)  # [e, s, p]: t_e flips s(p)
-    elements = tuple(map(tuple, (signs * (perms + 1)).reshape(-1, n).tolist()))
+    elements = tuple(map(tuple, rows.tolist()))
     sinv = np.argmin(perm_table, axis=1)  # row 0 is the identity
     e, s = np.divmod(np.arange(len(elements)), k)
     inv = twist[sinv[s], e] * k + sinv[s]

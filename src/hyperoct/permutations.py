@@ -18,7 +18,6 @@ signs met along the orbit is -1.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 
@@ -67,13 +66,6 @@ def inverse(s: SignedPerm) -> SignedPerm:
         else:
             out[-si - 1] = -i
     return tuple(out)
-
-
-def all_signed_perms(n: int):
-    """All 2^n n! elements, in a fixed deterministic order."""
-    for base in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(e * s for e, s in zip(base, signs))
 
 
 def simple_reflection(n: int, i: int) -> SignedPerm:

@@ -10,11 +10,12 @@ Two rings share one rewrite engine over the canonical generators
   reductions are non-homogeneous; the associated graded data is read off
   degree-by-degree).
 
-Each ring carries two actions.  B_rank acts by substituting signed
-indices.  B_{rank+1} acts as on the lifted space on ``rank``+1 points,
+B_{rank+1} acts on each ring as on the lifted space on ``rank``+1 points,
 which the marked-point identification stores in the same coordinates: the
 ring is the same, and the extra letter may move the marked point.
-``act_on_generator`` picks the action from the rank of the element.
+``act_on_generator`` has one formula, on the letter triple of a
+generator.  B_rank acts through its lift, the elements of B_{rank+1}
+fixing the marked point: s becomes ``(1, *map(letter, s))``.
 
 Non-canonical labels (swapped or negated indices) rewrite to affine-linear
 combinations of canonical generators; products are straightened to the
@@ -636,14 +637,12 @@ class PresentedRing:
         )
 
     def act_on_generator(self, sigma: SignedPerm, g: Gen) -> RingElement:
-        """The image of ``g`` under ``sigma`` in B_rank, by signed-index
-        substitution, or in B_{rank+1}, by the letter triple of ``g`` with the
-        marked point as letter 0 (``permutations.letter``)."""
+        """The image of ``g`` under ``sigma`` in B_{rank+1}, by the letter
+        triple of ``g`` with the marked point as letter 0
+        (``permutations.letter``).  An element of B_rank acts through its
+        lift ``(1, *map(letter, sigma))``, which fixes the marked point."""
         if len(sigma) == self.rank:
-            if len(g) == 1:
-                return self.canonical_loop(apply(sigma, g[0]))
-            i, j, s = g
-            return self.canonical_pair(apply(sigma, i), apply(sigma, s * j))
+            sigma = (1, *map(letter, sigma))
         if len(sigma) != self.rank + 1:
             raise ValueError(
                 f"{self.space} at rank {self.rank} is acted on by B_{self.rank} "

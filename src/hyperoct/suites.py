@@ -43,6 +43,7 @@ from .characters import (
     rho_character,
     subgroup_character,
 )
+from .groupdata import element_rows
 from .permutations import (
     centralizer_order,
     class_size,
@@ -64,8 +65,8 @@ from .rings import get_ring, hilbert_coefficients
 
 SUITE_BOUNDS = {
     "idempotents": (1, 4),
-    "tau": (1, 4),
-    "characters": (1, 4),
+    "tau": (1, 5),
+    "characters": (1, 7),
     "tables-b2": (2, 2),
     "hilbert": (1, 5),
     "main-iso": (1, 4),
@@ -73,7 +74,7 @@ SUITE_BOUNDS = {
     "ungraded": (1, 4),
     "gn1": (2, 5),
     "bigrading": (1, 5),
-    "equivariant": (1, 4),
+    "equivariant": (1, 7),
     "chambers": (1, 5),
 }
 
@@ -910,13 +911,13 @@ def _suite_chambers(n: int, rec: _Recorder):
 
     # B_n lifted to the elements of B_{n+1} fixing the marked letter:
     # s becomes (1, *map(letter, s)), row by row
-    signed = chmod.signed_perm_rows(n)
+    signed = element_rows(n)
     lifted = np.hstack([np.ones((len(signed), 1), dtype=np.int8), signed + np.sign(signed)])
     orbit, first, counts = np.unique(
         chmod.chamber_images(lifted, base), axis=0, return_index=True, return_counts=True
     )
     if (counts > 1).any():
-        # the repeated chamber reached first in all_signed_perms order
+        # the repeated chamber reached first in the order of get_group(n)
         k = np.argmin(np.where(counts > 1, first, len(lifted)))
         repeated = chmod.chamber_to_str(tuple(orbit[k].tolist()))
         failure = f"chamber {repeated} is reached by {counts[k]} elements"

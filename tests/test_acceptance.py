@@ -2,7 +2,8 @@
 
 Each test prints one pass/fail line; tolerances are identically zero
 (Fraction equality) throughout.  Bounds follow the documented suite limits:
-group-algebra statements at n = 1..4, basis/series counts up to n = 5.
+group-algebra statements at n = 1..4, basis/series counts up to n = 5, and
+the characters, tau and equivariant suites at their bounds (7, 5 and 7).
 """
 
 import itertools
@@ -99,6 +100,15 @@ def test_criterion_02_sign_forgetting_compatibility(n):
     _report(2, f"n={n}: projection matches the classical idempotents exactly")
 
 
+def test_criterion_02_sign_forgetting_at_the_suite_bound():
+    report = run_suite("tau", 5)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("sign-forgetting-on-partition-idempotents", "pass"),
+        ("sign-forgetting-on-count-idempotents", "pass"),
+    ]
+    _report(2, "tau at n=5: both projections match the classical idempotents")
+
+
 def test_criterion_03_character_tables():
     b1 = character_table(1)
     assert b1[((1,), ())].values == (Fraction(1), Fraction(1))
@@ -127,6 +137,17 @@ def test_criterion_03_character_tables():
                 assert s == (centralizer_order(c) if c == d else 0)
         assert sum(chi.degree**2 for chi in table.values()) == group_order(n)
     _report(3, "ranks 1,2 entry-for-entry; ranks 3,4 orthogonality and degree sums")
+
+
+def test_criterion_03_character_tables_at_the_suite_bound():
+    report = run_suite("characters", 7)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("row-orthonormality", "pass"),
+        ("column-orthogonality", "pass"),
+        ("burnside-degree-sum", "pass"),
+        ("integrality", "pass"),
+    ]
+    _report(3, "characters at n=7: orthonormality, degree sum, integrality")
 
 
 def test_criterion_04_rank_two_graded_decomposition():
@@ -272,6 +293,15 @@ def test_criterion_13_equivariant_specializations(n):
     total = len(equivariant_relations(n))
     assert count0 == count1 == total
     _report(13, f"n={n}: all {total} orbit relations vanish under both specializations")
+
+
+def test_criterion_13_equivariant_specializations_at_the_suite_bound():
+    report = run_suite("equivariant", 7)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("specialize-to-graded", "pass"),
+        ("specialize-to-function-ring", "pass"),
+    ]
+    _report(13, "equivariant at n=7: every orbit relation vanishes under both specializations")
 
 
 def test_criterion_14_property_suites():

@@ -25,7 +25,6 @@ from hyperoct.groupdata import get_group
 from hyperoct.linalg import rank_exact
 from hyperoct.permutations import (
     SignedPerm,
-    all_signed_perms,
     compose,
     composition_blocks,
     composition_partial_sums,
@@ -39,6 +38,7 @@ from hyperoct.permutations import (
     signed_partitions,
     standard_representative,
 )
+from signed_perms import all_signed_perms
 
 
 def half(x):

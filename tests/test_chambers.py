@@ -23,18 +23,18 @@ from hyperoct.chambers import (
     full_word,
     generator_columns,
     letter,
-    signed_perm_rows,
 )
 from hyperoct.characters import cyclic_subgroup
+from hyperoct.groupdata import element_rows
 from hyperoct.linalg import rank_exact, unpack_rows
 from hyperoct.permutations import (
-    all_signed_perms,
     compose,
     group_generators,
     group_order,
     inverse,
 )
 from hyperoct.rings import RingElement, get_ring
+from signed_perms import all_signed_perms
 
 
 def evaluate_y(i: int, j: int, k: int, ch: Chamber) -> int:
@@ -238,15 +238,8 @@ def test_evaluation_matrix_at_rank_four_allocates_no_dense_matrix():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_signed_perm_rows_follow_all_signed_perms(n):
-    rows = signed_perm_rows(n)
-    assert rows.dtype == np.int8
-    assert [tuple(r) for r in rows.tolist()] == list(all_signed_perms(n))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
 def test_chamber_images_match_chamber_action(n):
-    sigmas = signed_perm_rows(n + 1)
+    sigmas = element_rows(n + 1)
     elements = [tuple(s) for s in sigmas.tolist()]
     for ch in all_chambers(n)[:: 1 if n < 3 else 5]:
         images = [tuple(x) for x in chamber_images(sigmas, ch).tolist()]

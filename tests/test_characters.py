@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -27,7 +28,6 @@ from hyperoct.characters import (
 )
 from hyperoct.cyclotomic import cyclotomic_polynomial, power_rows
 from hyperoct.permutations import (
-    all_signed_perms,
     centralizer_order,
     compose,
     group_order,
@@ -39,6 +39,7 @@ from hyperoct.permutations import (
     signed_partitions,
     standard_representative,
 )
+from signed_perms import all_signed_perms
 
 # ---------------------------------------------------------------------------
 # oracle: symmetric group characters from permutation modules (Young's rule)
@@ -383,6 +384,20 @@ def test_subgroup_character_closes_and_certifies():
     # eta has order 3, so eta -> w^1 is no character of <eta>
     with pytest.raises(ArithmeticError):
         subgroup_character(ambient, [(eta, 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cyclic_subgroup_lists_the_powers_in_order(n):
+    # seeded elements, the Coxeter element and the identity: the closure
+    # lists g^0, g^1, ... up to the order of g
+    elements = list(all_signed_perms(n))
+    picks = random.Random(n).sample(elements, min(len(elements), 12))
+    for g in picks + [coxeter_element(n), identity(n)]:
+        powers, cur = [identity(n)], compose(identity(n), g)
+        while cur != identity(n):
+            powers.append(cur)
+            cur = compose(cur, g)
+        assert cyclic_subgroup(g) == powers, g
 
 
 def test_divide_exactly_names_the_first_inexact_class():

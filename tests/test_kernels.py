@@ -10,7 +10,7 @@ import pytest
 
 from hyperoct import kernels
 from hyperoct.algebra import AlgebraElement
-from hyperoct.groupdata import class_sweep, get_group
+from hyperoct.groupdata import class_sweep, element_rows, get_group
 from hyperoct.permutations import (
     class_size,
     compose,
@@ -18,6 +18,7 @@ from hyperoct.permutations import (
     signed_partitions,
     standard_representative,
 )
+from signed_perms import all_signed_perms
 
 
 def _flip(n, e):
@@ -44,6 +45,19 @@ def test_group_table_consistency():
             for j, h in enumerate(group.elements):
                 assert group.elements[group.mul(i, j)] == compose(g, h)
                 assert products[i, j] == group.mul(i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_element_rows_are_the_group_numbering(n):
+    # the rows of element_rows(n) are get_group(n).elements, in order, and
+    # are built without building (or caching) any group
+    before = get_group.cache_info()
+    rows = element_rows(n)
+    assert get_group.cache_info() == before
+    assert rows.dtype == np.int8 and rows.shape == (2**n * factorial(n), n)
+    elements = [tuple(r) for r in rows.tolist()]
+    assert sorted(elements) == sorted(all_signed_perms(n))
+    assert elements == list(get_group(n).elements)
 
 
 def test_conjugates_column():

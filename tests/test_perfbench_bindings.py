@@ -41,3 +41,9 @@ def test_benchmark_tracer_installs_and_runs(tmp_path):
         "characters.induce_character",
         "characters.rho_character",
     } <= set(traced["names"])
+    # the kernel metrics read the convolution spans under their products: a
+    # run that multiplies without kernels.convolve_dense would report them
+    # as zeros
+    recorded = {traced["names"][i] for i in traced["name"]}
+    assert "algebra.mul" in recorded
+    assert any(name.startswith("kernels.") for name in recorded)

@@ -4,7 +4,6 @@ import pytest
 
 from hyperoct.characters import cyclic_subgroup, rho_character
 from hyperoct.permutations import (
-    all_signed_perms,
     centralizer_generators_labeled,
     centralizer_order,
     class_size,
@@ -28,6 +27,7 @@ from hyperoct.permutations import (
     standard_representative,
     unletter,
 )
+from signed_perms import all_signed_perms
 
 
 def test_compose_identity_and_involution():

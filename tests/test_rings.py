@@ -5,7 +5,7 @@ import pytest
 
 from hyperoct.characters import ClassFunction, decompose
 from hyperoct.permutations import (
-    all_signed_perms,
+    apply,
     compose,
     group_generators,
     group_order,
@@ -34,6 +34,7 @@ from hyperoct.rings import (
     monomial_sort,
     type_of,
 )
+from signed_perms import all_signed_perms
 
 # the four representations: B_n on Z1 and Z3, and the lifted B_{n+1} on them
 REPRESENTATIONS = ("Z1", "Z3", "Y1", "Y3")
@@ -282,15 +283,28 @@ def test_lifted_action_letter_swap():
     assert ring.act(swap, ring.generator((1,))) == -1 * ring.generator((1,))
 
 
+def substituted(ring, sigma, g):
+    """The image of a generator under sigma in B_rank by substituting signed
+    indices: z_i -> z_{sigma(i)}, z_ij^s -> the class of the pair
+    (sigma(i), sigma(s j)).  The oracle for the lifted action."""
+    if len(g) == 1:
+        return ring.canonical_loop(apply(sigma, g[0]))
+    i, j, s = g
+    return ring.canonical_pair(apply(sigma, i), apply(sigma, s * j))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lifted_action_restricts_to_the_plain_action(n):
-    # the elements of B_{n+1} fixing the marked letter act as B_n does
+    # the elements of B_{n+1} fixing the marked letter act as B_n does by
+    # substitution, and an element of B_n acts as its lift
     for space in SPACES:
         ring = get_ring(space, n)
         for sigma in all_signed_perms(n):
             fixing = (1, *map(letter, sigma))
             for g in ring.gens:
-                assert ring.act_on_generator(fixing, g) == ring.act_on_generator(sigma, g)
+                expected = substituted(ring, sigma, g)
+                assert ring.act_on_generator(fixing, g) == expected, (sigma, g)
+                assert ring.act_on_generator(sigma, g) == expected, (sigma, g)
 
 
 def test_action_rejects_an_element_of_the_wrong_rank():
