@@ -59,7 +59,16 @@ from functools import lru_cache
 from numbers import Rational
 
 from . import cache
-from .permutations import SignedPerm, apply, letter, unletter
+from .permutations import (
+    SignedPerm,
+    apply,
+    group_generators,
+    letter,
+    perm_to_str,
+    signed_partitions,
+    standard_representative,
+    unletter,
+)
 
 Gen = tuple  # (i,) loop; (i, j, s) pair, i < j, s in {1, -1}; (0,) is reserved
 Monomial = tuple  # sorted tuple of Gens
@@ -698,6 +707,56 @@ def _one_minus(p):
 @lru_cache(maxsize=None)
 def get_ring(space: str, rank: int) -> PresentedRing:
     return PresentedRing(space, rank)
+
+
+def associated_graded_mismatch(rank: int) -> str | None:
+    """Why the associated graded of the function ring ``Z1`` might differ
+    from the graded ring ``Z3`` at ``rank``, or None when it cannot.
+
+    The two rings share their nbc basis and rule keys, every ``Z1`` rule
+    has no term above degree 2 and its degree-2 part is the ``Z3`` rule,
+    and the degree-1 part of every ``Z1`` generator image is the ``Z3``
+    image under each Coxeter generator of B_rank and each class
+    representative.  Rules are oriented degree first and
+    ``_find_collision`` picks the same pair in both tables, so the
+    top-degree part of a ``Z1`` normal form is the ``Z3`` normal form; the
+    trace of a class representative on a graded piece reads only
+    top-degree coefficients, so the graded characters of the two rings
+    are equal (Varchenko and Gelfand, Funct. Anal. Appl. 21, 1987).  The
+    witness names the first rule pair, or the first (element, generator),
+    that differs.
+    """
+    z1, z3 = get_ring("Z1", rank), get_ring("Z3", rank)
+
+    def rule_name(pair: Mask) -> str:
+        return "*".join(gen_pretty(g) for g in z1.monomial_of(pair))
+
+    if z1.nbc_masks() != z3.nbc_masks():
+        return "Z1 and Z3 have different nbc bases"
+    if z1._table.keys() != z3._table.keys():
+        pair = min(z1._table.keys() ^ z3._table.keys(), key=mask_order_key)
+        return f"rule for {rule_name(pair)} is in one table only"
+    for pair in sorted(z1._table, key=mask_order_key):
+        rhs = z1._table[pair]
+        top = {m: c for m, c in rhs.items() if m.bit_count() == 2}
+        if top != z3._table[pair] or any(m.bit_count() > 2 for m in rhs):
+            return (
+                f"rule {rule_name(pair)}: Z1 gives {RingElement._of(z1, rhs)}, "
+                f"Z3 gives {RingElement._of(z3, z3._table[pair])}"
+            )
+    sigmas = group_generators(rank) + [
+        standard_representative(lam) for lam in signed_partitions(rank)
+    ]
+    for sigma in sigmas:
+        for g in z1.gens:
+            linear = z1.act_on_generator(sigma, g).homogeneous_part(1)
+            want = z3.act_on_generator(sigma, g)
+            if linear.masks != want.masks:
+                return (
+                    f"image of {gen_pretty(g)} under ({perm_to_str(sigma)}): "
+                    f"degree-1 part {linear} in Z1, {want} in Z3"
+                )
+    return None
 
 
 def hilbert_coefficients(rank: int) -> list[int]:

@@ -3,7 +3,8 @@
 Each test prints one pass/fail line; tolerances are identically zero
 (Fraction equality) throughout.  Bounds follow the documented suite limits:
 group-algebra statements at n = 1..4, basis/series counts up to n = 5, and
-the characters, tau and equivariant suites at their bounds (7, 5 and 7).
+the suites at their bounds: characters and equivariant at 7, tau,
+idempotents, main-iso, recursion and ungraded at 5.
 """
 
 import itertools
@@ -82,7 +83,25 @@ def test_criterion_01_idempotent_families(n):
     assert total == AlgebraElement.unit(n)
     for i, j in itertools.permutations(range(n + 1), 2):
         assert (gks[i] * gks[j]).is_zero()
+    # the suite decides orthogonality by the trace lemma; the sweep above
+    # is its oracle
+    assert run_suite("idempotents", n).passed
     _report(1, f"n={n}: {len(lams)}+{n + 1} idempotents, orthogonal, complete")
+
+
+def test_criterion_01_idempotent_families_at_the_suite_bound():
+    report = run_suite("idempotents", 5)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("signed-partition-idempotents-square", "pass"),
+        ("signed-partition-idempotents-orthogonal", "pass"),
+        ("signed-partition-idempotents-complete", "pass"),
+        ("positive-part-count-idempotents", "pass"),
+    ]
+    # the direct sweep over the count family agrees
+    gks = [g_k(5, k) for k in range(6)]
+    for i, j in itertools.permutations(range(6), 2):
+        assert (gks[i] * gks[j]).is_zero(), (i, j)
+    _report(1, "idempotents at n=5: 36+6 idempotents; count family orthogonal directly")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -173,6 +192,16 @@ def test_criterion_05_main_isomorphism(n):
     _report(5, f"n={n}: ideal characters match both cohomology routes, all degrees")
 
 
+def test_criterion_05_main_isomorphism_at_the_suite_bound():
+    report = run_suite("main-iso", 5)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("count-idempotent-ideals-match-graded-pieces", "pass"),
+        ("function-ring-associated-graded-is-graded-ring", "pass"),
+        ("partition-idempotent-ideals-match-type-pieces", "pass"),
+    ]
+    _report(5, "main-iso at n=5: ideals, the d=1 associated graded, type pieces")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_criterion_06_refined_isomorphism(n):
     for lam in signed_partitions(n):
@@ -195,6 +224,12 @@ def test_criterion_07_recursion(n):
     _report(7, f"n={n}: degreewise fiber recursion holds")
 
 
+def test_criterion_07_recursion_at_the_suite_bound():
+    report = run_suite("recursion", 5)
+    assert [(c.id, c.status) for c in report.checks] == [("fiber-recursion", "pass")]
+    _report(7, "recursion at n=5: degreewise fiber recursion holds")
+
+
 def test_criterion_08_ungraded_totals():
     for n in (1, 2, 3, 4):
         z = graded_character(n, "Z3")
@@ -210,6 +245,13 @@ def test_criterion_08_ungraded_totals():
         cox = coxeter_element(m + 1)
         assert total == coset_permutation_character(m + 1, cyclic_subgroup(cox))
     _report(8, "totals: regular at n<=4; coset module for lifted ranks <=4")
+
+
+def test_criterion_08_ungraded_total_at_the_suite_bound():
+    # the lifted total keeps its n <= 3 cutoff in the suite
+    report = run_suite("ungraded", 5)
+    assert [(c.id, c.status) for c in report.checks] == [("total-is-regular", "pass")]
+    _report(8, "ungraded at n=5: the total is the regular representation")
 
 
 def test_criterion_09_coxeter_type_component():

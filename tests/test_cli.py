@@ -502,7 +502,61 @@ def _non_orthogonal_g0(monkeypatch):
     monkeypatch.setattr(
         suites, "g_k", lambda n, k: AlgebraElement.unit(n) if k == 0 else honest(n, k)
     )
-    return {"positive-part-count-idempotents": "g_0 * g_1 != 0"}
+    # g_0 := 1 keeps every square, so the sum is what fails
+    return {
+        "positive-part-count-idempotents":
+        "sum has 8 terms, so the trace lemma does not apply",
+    }
+
+
+def _non_idempotent_vazirani(monkeypatch):
+    from hyperoct import suites
+
+    honest = suites.vazirani_idempotent
+    monkeypatch.setattr(
+        suites,
+        "vazirani_idempotent",
+        lambda lam: 2 * honest(lam) if lam == ((1,), (1,)) else honest(lam),
+    )
+    return {
+        "signed-partition-idempotents-square": "failures at ['(1|1)']",
+        "signed-partition-idempotents-orthogonal":
+        "(1|1) is not idempotent, so the trace lemma does not apply",
+    }
+
+
+def _flipped_z1_rule(monkeypatch):
+    # the z1*z2 coefficient of the Z1 rule for z2*z12 goes from -1 to 1
+    from hyperoct.rings import get_ring
+
+    ring = get_ring("Z1", 2)
+    table = {pair: dict(rhs) for pair, rhs in ring._table.items()}
+    table[ring.mask_of(((2,), (1, 2, 1)))][ring.mask_of(((1,), (2,)))] *= -1
+    monkeypatch.setattr(ring, "_table", table)
+    return {
+        "function-ring-associated-graded-is-graded-ring":
+        "rule z2*z12: Z1 gives (1)*z2 + (1)*z1*z2 + (1)*z1*z12, "
+        "Z3 gives (-1)*z1*z2 + (1)*z1*z12",
+    }
+
+
+def _perturbed_z1_image(monkeypatch):
+    # the Z1 image of z1 under the Coxeter generator (2,1) gains a z12
+    from hyperoct import rings
+
+    honest = rings.PresentedRing.act_on_generator
+
+    def perturbed(ring, sigma, g):
+        image = honest(ring, sigma, g)
+        if ring.space == "Z1" and sigma == (2, 1) and g == (1,):
+            image = image + ring.generator((1, 2, 1))
+        return image
+
+    monkeypatch.setattr(rings.PresentedRing, "act_on_generator", perturbed)
+    return {
+        "function-ring-associated-graded-is-graded-ring":
+        "image of z1 under (2,1): degree-1 part (1)*z2 + (1)*z12 in Z1, (1)*z2 in Z3",
+    }
 
 
 def _wrong_bidegree_dimension(monkeypatch):
@@ -583,6 +637,13 @@ def _flipped_indicator(monkeypatch):
             ["indicator-table", "cyclic-relations-pointwise", "function-ring-relations-pointwise"],
         ),
         ("chambers", _duplicated_orbit_image, ["marked-point-action-simply-transitive"]),
+        (
+            "idempotents",
+            _non_idempotent_vazirani,
+            ["signed-partition-idempotents-square", "signed-partition-idempotents-orthogonal"],
+        ),
+        ("main-iso", _flipped_z1_rule, ["function-ring-associated-graded-is-graded-ring"]),
+        ("main-iso", _perturbed_z1_image, ["function-ring-associated-graded-is-graded-ring"]),
     ],
 )
 def test_failing_checks_name_their_first_mismatch(suite, inject, ids, monkeypatch):
@@ -595,3 +656,23 @@ def test_failing_checks_name_their_first_mismatch(suite, inject, ids, monkeypatc
             "fail",
             witnesses[check_id],
         )
+
+
+def test_idempotents_suite_forms_no_off_diagonal_product(monkeypatch):
+    # orthogonality follows from the squares and the sum by the trace lemma:
+    # at n = 4 the suite's products are the 54 that build the 20 Vazirani
+    # idempotents, their 20 squares and the 5 squares of g_0..g_4; the
+    # pairwise sweep, which is no longer run, formed 400 more
+    from hyperoct import algebra, kernels
+
+    honest = kernels.convolve_dense
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return honest(*args)
+
+    monkeypatch.setattr(kernels, "convolve_dense", counted)
+    algebra.vazirani_idempotent.cache_clear()
+    assert run_suite("idempotents", 4).passed
+    assert len(calls) == 79
