@@ -163,17 +163,16 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return self.__rmul__(other)
         self._check(other)
-        idx_a, idx_b = np.flatnonzero(self.num), np.flatnonzero(other.num)
+        idx_a, idx_b = self.num.nonzero()[0], other.num.nonzero()[0]
         if not len(idx_a) or not len(idx_b):
             return AlgebraElement.zero(self.n)
         group = get_group(self.n)
         coef_a, coef_b = self.num[idx_a], other.num[idx_b]
         # past the bound the kernel gets Python integers, so that no bound
         # computed from its arguments wraps around in int64
-        dtype = kernels.exact_dtype(
-            kernels.max_abs(coef_a) * kernels.max_abs(coef_b) * group.order
-        )
-        coef_a, coef_b = coef_a.astype(dtype, copy=False), coef_b.astype(dtype, copy=False)
+        bound = kernels.max_abs(coef_a) * kernels.max_abs(coef_b) * group.order
+        if bound >= kernels.INT64_BOUND:
+            coef_a, coef_b = coef_a.astype(object), coef_b.astype(object)
         dense = kernels.convolve_dense(group, idx_a, coef_a, idx_b, coef_b)
         return AlgebraElement._reduced(self.n, dense, self.den * other.den)
 

@@ -93,11 +93,6 @@ def rank_gf2_packed(words: np.ndarray) -> int:
     return rank
 
 
-def rank_gf2(matrix) -> int:
-    """Rank over GF(2) of an integer matrix, its entries taken mod 2."""
-    return rank_gf2_packed(pack_rows(np.asarray(matrix) & 1))
-
-
 def _widened(m: np.ndarray) -> np.ndarray:
     return m.astype(object)
 

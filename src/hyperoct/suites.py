@@ -75,12 +75,12 @@ SUITE_BOUNDS = {
     "tau": (1, 5),
     "characters": (1, 7),
     "tables-b2": (2, 2),
-    "hilbert": (1, 5),
+    "hilbert": (1, 6),
     "main-iso": (1, 5),
     "recursion": (2, 5),
     "ungraded": (1, 5),
     "gn1": (2, 5),
-    "bigrading": (1, 5),
+    "bigrading": (1, 6),
     "equivariant": (1, 7),
     "chambers": (1, 5),
 }

@@ -301,6 +301,26 @@ def test_criterion_10_hilbert_series():
     _report(10, "series counts to n=5; bidegrees refine by type; rank-2 series 1+4t^2+3t^4")
 
 
+def test_criterion_10_hilbert_series_at_the_suite_bound():
+    report = run_suite("hilbert", 6)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("basis-counts-z3", "pass"),
+        ("basis-counts-z1", "pass"),
+        ("total-dimension", "pass"),
+    ]
+    _report(10, "hilbert at n=6: both nbc bases count the series, total 2^6 6!")
+
+
+def test_criterion_10_bigrading_at_the_suite_bound():
+    report = run_suite("bigrading", 6)
+    assert [(c.id, c.status) for c in report.checks] == [
+        ("bidegree-partition", "pass"),
+        ("type-refines-bidegree", "pass"),
+        ("bidegree-from-type-sums", "pass"),
+    ]
+    _report(10, "bigrading at n=6: bidegrees partition the series and refine by type")
+
+
 def test_criterion_11_action_table_and_eigenvectors():
     report = run_suite("tables-b2", 2)
     by_id = {c.id: c for c in report.checks}

@@ -340,12 +340,14 @@ def test_convolve_dense_matches_row_gather_reference(n):
 
 
 def test_contraction_runs_over_the_factor_with_fewer_rows(monkeypatch):
-    # a has 12 elements on 2 rows, b 5 elements on 5 rows: the kernel
-    # gathers B^ for a's 2 rows in ab and for b*'s 2 rows in ba
+    # a has 16 elements on 2 rows, b 160 elements on 10 rows: 2560 pairs
+    # take the contraction, and a has fewer than 4! elements, so the rows
+    # are counted; the kernel gathers B^ for a's 2 rows in ab and for b*'s
+    # 2 rows in ba, on one limb and on limbs
     n, rng = 4, random.Random(5)
     group, p = get_group(n), kernels.plan(n)
-    a, b = _support(rng, n, 2, 6), _support(rng, n, 5, 1)
-    coef_a, coef_b = [3] * len(a), [-2] * len(b)
+    a, b = _support(rng, n, 2, 8), _support(rng, n, 10, 16)
+    assert len(a) * len(b) > kernels.PAIR_CUTOFF * group.order
     keys = []
 
     class Flat(np.ndarray):
@@ -354,10 +356,83 @@ def test_contraction_runs_over_the_factor_with_fewer_rows(monkeypatch):
             return np.asarray(self)[key]
 
     monkeypatch.setattr(kernels, "plan", lambda n: p._replace(flat=p.flat.view(Flat)))
-    for x, cx, y, cy in ((a, coef_a, b, coef_b), (b, coef_b, a, coef_a)):
-        expected = _reference_convolution(group, x, cx, y, cy)
-        _check_product(n, x, cx, y, cy, expected)
-    assert [len(rows) for _, rows in keys] == [2, 2]
+    for top in (3, 2**40):
+        coef_a, coef_b = [top] * len(a), [-2] * len(b)
+        for x, cx, y, cy in ((a, coef_a, b, coef_b), (b, coef_b, a, coef_a)):
+            expected = _reference_convolution(group, x, cx, y, cy)
+            _check_product(n, x, cx, y, cy, expected)
+    assert [len(rows) for _, rows in keys] == [2, 2, 2, 2]
+
+
+def _contractions(monkeypatch) -> list:
+    """Record every product that takes the contraction: it reads the plan,
+    the pair route does not."""
+    calls = []
+    honest = kernels.plan
+    monkeypatch.setattr(kernels, "plan", lambda n: calls.append(n) or honest(n))
+    return calls
+
+
+# 4 |B_4| = 1536 pairs is the pair route's cutoff at n = 4: 1536 = 4 x 384
+# and 1535 = 5 x 307 take it, 1537 = 29 x 53 takes the contraction (over
+# every row, as both supports have at least 4! elements)
+@pytest.mark.parametrize(
+    "size_a, size_b, pair",
+    [
+        (4, 384, True),
+        (384, 4, True),
+        (5, 307, True),
+        (307, 5, True),
+        (29, 53, False),
+        (53, 29, False),
+    ],
+)
+def test_the_pair_route_ends_at_its_cutoff(monkeypatch, size_a, size_b, pair):
+    group = get_group(4)
+    assert (size_a * size_b <= kernels.PAIR_CUTOFF * group.order) == pair
+    contractions = _contractions(monkeypatch)
+    rng = random.Random(size_a * size_b + size_a)
+    for idx_a, coef_a, idx_b, coef_b in _cases(4, size_a, size_b, 9, 9, 2, rng):
+        expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
+        _check_product(4, idx_a, coef_a, idx_b, coef_b, expected)
+    assert len(contractions) == (0 if pair else 2)
+
+
+# On small supports the one-limb test picks the route: 2^4 |a| |b| =
+# 2^53 - 16 (|a| |b| = 127 * 4432676798593) stays on the pair route in
+# int64, 2^53 takes limbs on the contraction, and so do Python integers,
+# however small (one limb each, so the product is int64 again)
+@pytest.mark.parametrize(
+    "coef_a, coef_b, pair",
+    [
+        ([127], [4432676798593], True),
+        ([100, -27], [-4432676798593], True),
+        ([2**24], [-(2**25)], False),
+        ([2**23, -(2**23)], [2**24, -(2**23), 2**23], False),
+        (np.array([3, -2], dtype=object), np.array([5], dtype=object), False),
+        ([3], np.array([-7, 2, 1], dtype=object), False),
+        ([2**70 + 1, -3], [-(2**65)], False),
+    ],
+)
+def test_small_supports_take_the_route_of_their_bound(monkeypatch, coef_a, coef_b, pair):
+    group = get_group(4)
+    rng = random.Random(len(coef_a) * 10 + len(coef_b))
+    idx_a = rng.sample(range(group.order), len(coef_a))
+    idx_b = rng.sample(range(group.order), len(coef_b))
+    contractions = _contractions(monkeypatch)
+    expected = _definitional_convolution(group, idx_a, coef_a, idx_b, coef_b)
+    _check_product(4, idx_a, coef_a, idx_b, coef_b, expected)
+    assert (not contractions) == pair
+
+
+# 1024 limbs on each side put up to 1024 products on one i + j, which sum
+# in int64; 1025 put 1025 there, past int64 for products of 2^53 - 1.
+# With width 1 the recombined value is (2^53 - 1)(2^count - 1)^2.
+@pytest.mark.parametrize("count", [1024, 1025])
+def test_limb_sums_stay_exact_past_int64(count):
+    c = 2**53 - 1
+    prod = np.full((count, 1, count, 1), c, dtype=np.int64)
+    assert kernels._recombine(prod, 1).tolist() == [c * (2**count - 1) ** 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -368,6 +443,7 @@ def test_plan_matches_the_cayley_table(n):
     assert p.hadamard.tolist() == chi
     assert (p.unhadamard * size == p.hadamard).all()
     assert (p.row == np.arange(size * k) % k).all()
+    assert p.flat.flags.c_contiguous  # the gather reads it in order
     # flat[u, s, r] = (u.s, s^-1 r), where chi_u(s.d) = chi_{u.s}(d) for
     # every sign mask d and s.d is the sign mask of s t_d s^-1
     twist, quotient = np.divmod(p.flat, k)
