@@ -10,12 +10,12 @@ most ``PAIR_CUTOFF`` |B_n| pairs on one limb (below) takes the pair route:
 the index of every g h by ``GroupData.mul`` and one weighted
 ``np.bincount`` of the a_g b_h.  Every other product takes the
 contraction, whose work does not grow with the pairs but whose fixed cost
-is larger.  Measured on 2 vCPUs of a Xeon at n = 4, the pair route takes
-12 us plus 12 ns a pair, the contraction 20 us over every row and 28-30
-us over part of them, so the pair route wins up to about 700 pairs
-against a contraction over every row and 1 400 against one over part of
-them; at n = 5 it wins up to about 50 000 pairs (13 |B_5|), so the cutoff
-is conservative there.
+is larger.  Measured with ``timeit`` on 2 vCPUs of a Xeon and one BLAS
+thread, the pair route takes 11-13 us plus 11-12 ns a pair; the
+contraction takes 21-22 us at n = 4 and 505-560 us at n = 5, whatever
+the supports.  So the pair route wins up to about 900 pairs (2.3 |B_4|)
+at n = 4, and up to about 47 000 pairs (12 |B_5|) at n = 5, where the
+cutoff is conservative.
 
 The transform.  In the layout of ``hyperoct.groupdata`` an element of
 Q[B_n] is a 2^n x n! array A[e, s] (element e n! + s is t_e s), and by
@@ -30,21 +30,12 @@ chi_u(s.d) = chi_{u.s}(d) with (u.s)_p = u_{s(p)},
 
 For each character u that is a row vector times a matrix, so the
 contraction is one batched matrix product over the 2^n characters, and it
-runs over the nonzero S_n-rows s of the left factor only.  Its right
-operand comes from one gather ``Plan.flat[u, s, r]`` = (u.s, s^-1 r) into
-B^: about (n!)^2 2^n multiplications for dense factors where the double
-sum over pairs takes |B_n|^2 (16 times fewer at n = 4, 32 at n = 5),
-plus one transform of both factors and one back, of 2^n x 2^n x n! each.
-
-Side choice.  The anti-involution x*[g] = x[g^-1] reverses products,
-ab = (b* a*)*, and x* has as many nonzero S_n-rows as x (the row of g^-1
-is s^-1).  When b has fewer rows than a the kernel contracts b* a* and
-reads its result at the inverses, which undoes the *; so the contraction
-runs over the sparser factor's rows.  The rows are counted only when a
-support has fewer than n! elements, so that a factor surely spans fewer
-rows than there are; otherwise the contraction runs over every row, which
-is always exact (in the products of the suites such factors span every
-row).
+runs over every S_n-row s.  Its right operand comes from one gather
+``Plan.flat[u, s, r]`` = (u.s, s^-1 r) into B^: about (n!)^2 2^n
+multiplications whatever the supports, where the double sum over the
+pairs of dense factors takes |B_n|^2 (16 times more at n = 4, 32 at
+n = 5), plus one transform of both factors and one back, of
+2^n x 2^n x n! each.
 
 Exact through float64 BLAS (as in FFLAS, Dumas, Giorgi and Pernet, ACM
 TOMS 35, 2008).  Let |a| = sum |a_g|, the same for b.  The terms of each
@@ -148,15 +139,12 @@ class Plan(NamedTuple):
 
     ``hadamard[e, u] = chi_u(e)`` and ``unhadamard`` is its inverse,
     H / 2^n; ``flat[u, s, r]`` is the place of (u.s, s^-1 r) in a
-    2^n x n! array, the index e n! + s of ``hyperoct.groupdata``;
-    ``row[e n! + s] = s``, the S_n row of each element (a gather, where
-    numpy's int64 remainder by a scalar takes twice as long).
+    2^n x n! array, the index e n! + s of ``hyperoct.groupdata``.
     """
 
     hadamard: np.ndarray
     unhadamard: np.ndarray
     flat: np.ndarray
-    row: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +158,7 @@ def plan(n: int) -> Plan:
     flat = np.ascontiguousarray(flat)  # the broadcast leaves it F-ordered
     e = np.arange(size)
     hadamard = 1.0 - 2.0 * (np.bitwise_count(e[:, None] & e[None, :]) & 1)
-    return Plan(hadamard, hadamard / size, flat, np.tile(np.arange(k), size))
+    return Plan(hadamard, hadamard / size, flat)
 
 
 def _recombine(prod: np.ndarray, width: int) -> np.ndarray:
@@ -220,16 +208,6 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
         one_limb = False
     p = plan(group.n)
     size, k = len(p.hadamard), len(group.perm_table)
-    reverse, rows = False, None  # None: every row
-    if min(len(idx_a), len(idx_b)) < k:  # then that factor spans fewer than n! rows
-        rows_a = np.bincount(p.row[idx_a]).nonzero()[0]
-        rows_b = np.bincount(p.row[idx_b]).nonzero()[0]
-        reverse = len(rows_b) < len(rows_a)
-        if reverse:  # contract b* a* over the rows of b*, then undo the *
-            rows, idx_a, idx_b = group.inv[rows_b], group.inv[idx_b], group.inv[idx_a]
-            coef_a, coef_b = coef_b, coef_a
-        else:
-            rows = rows_a
     if one_limb:
         dense = np.zeros((2, size * k))
         dense[0][idx_a], dense[1][idx_b] = coef_a, coef_b
@@ -248,15 +226,9 @@ def convolve_dense(group: GroupData, idx_a, coef_a, idx_b, coef_b) -> np.ndarray
     # i of a, hat_b[j, u k + r] for limb j of b
     hat = np.matmul(p.hadamard, dense.reshape(-1, size, k))
     hat_a, hat_b = hat[:count_a], hat[count_a:].reshape(count_b, -1)
-    if rows is None:  # every row: the plan's own index, no copies
-        index = p.flat
-    else:
-        hat_a, index = hat_a.take(rows, axis=2), p.flat[:, rows]
-    gathered = _gather(hat_b, index)
+    gathered = _gather(hat_b, p.flat)
     hat_c = np.matmul(hat_a.transpose(1, 0, 2), gathered).reshape(count_b, size, -1)
     prod = np.matmul(p.unhadamard, hat_c).astype(np.int64)
     if count_a == count_b == 1:
-        out = prod.ravel()
-    else:
-        out = _recombine(prod.reshape(count_b, size, count_a, k), width)
-    return out[group.inv] if reverse else out
+        return prod.ravel()
+    return _recombine(prod.reshape(count_b, size, count_a, k), width)

@@ -179,10 +179,8 @@ def _check_product(n, idx_a, coef_a, idx_b, coef_b, expected):
     assert (got.dtype == np.int64) == _one_limb(n, coef_a, coef_b)
 
 
-# Random supports of these sizes span most S_n-rows, so the larger support
-# is mostly the factor with more rows and both side choices run.  A bound of
-# 50 or 5 stays on one limb; 759250124 at n = 2 and 2^40 at n = 4 run on
-# limbs.
+# Random supports of these sizes, each size on either side.  A bound of 50
+# or 5 stays on one limb; 759250124 at n = 2 and 2^40 at n = 4 run on limbs.
 @pytest.mark.parametrize(
     "n, size_a, size_b, bound",
     [
@@ -314,8 +312,10 @@ def _support(rng, n, rows, per_row):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_convolve_dense_matches_row_gather_reference(n):
-    # sparse, mid and full supports in both orders, so both side choices
-    # run, on one limb and on several; 20 products at n = 5
+    # sparse, mid and full supports in both orders, so either factor may
+    # span fewer S_n-rows, on one limb and on several; 20 products at n = 5
+    # (24 at n = 4, with 16 elements on 2 rows against 160 on 10: 2560
+    # pairs, past the pair route, with the few-row factor on either side)
     rng = random.Random(12 + n)
     size, k = 2**n, factorial(n)
     shapes = [
@@ -324,7 +324,7 @@ def test_convolve_dense_matches_row_gather_reference(n):
         ((1, size), (k, 1)),
         ((max(1, k // 2), max(1, size // 2)), (max(1, k // 3), max(1, size // 4))),
         ((k, size), (k, size)),
-    ]
+    ] + ([((2, 8), (10, 16))] if n == 4 else [])
     group, sides, limbs = get_group(n), set(), set()
     for shape_a, shape_b in shapes + [(b, a) for a, b in shapes]:
         for top in (9, 2**40 if shape_a != shape_b else 2**70):
@@ -337,31 +337,6 @@ def test_convolve_dense_matches_row_gather_reference(n):
             limbs.add(_one_limb(n, coef_a, coef_b))
     assert limbs == {True, False}
     assert sides == ({True, False} if n > 1 else {False})
-
-
-def test_contraction_runs_over_the_factor_with_fewer_rows(monkeypatch):
-    # a has 16 elements on 2 rows, b 160 elements on 10 rows: 2560 pairs
-    # take the contraction, and a has fewer than 4! elements, so the rows
-    # are counted; the kernel gathers B^ for a's 2 rows in ab and for b*'s
-    # 2 rows in ba, on one limb and on limbs
-    n, rng = 4, random.Random(5)
-    group, p = get_group(n), kernels.plan(n)
-    a, b = _support(rng, n, 2, 8), _support(rng, n, 10, 16)
-    assert len(a) * len(b) > kernels.PAIR_CUTOFF * group.order
-    keys = []
-
-    class Flat(np.ndarray):
-        def __getitem__(self, key):
-            keys.append(key)
-            return np.asarray(self)[key]
-
-    monkeypatch.setattr(kernels, "plan", lambda n: p._replace(flat=p.flat.view(Flat)))
-    for top in (3, 2**40):
-        coef_a, coef_b = [top] * len(a), [-2] * len(b)
-        for x, cx, y, cy in ((a, coef_a, b, coef_b), (b, coef_b, a, coef_a)):
-            expected = _reference_convolution(group, x, cx, y, cy)
-            _check_product(n, x, cx, y, cy, expected)
-    assert [len(rows) for _, rows in keys] == [2, 2, 2, 2]
 
 
 def _contractions(monkeypatch) -> list:
@@ -442,7 +417,6 @@ def test_plan_matches_the_cayley_table(n):
     chi = [[(-1) ** bin(e & u).count("1") for u in range(size)] for e in range(size)]
     assert p.hadamard.tolist() == chi
     assert (p.unhadamard * size == p.hadamard).all()
-    assert (p.row == np.arange(size * k) % k).all()
     assert p.flat.flags.c_contiguous  # the gather reads it in order
     # flat[u, s, r] = (u.s, s^-1 r), where chi_u(s.d) = chi_{u.s}(d) for
     # every sign mask d and s.d is the sign mask of s t_d s^-1
@@ -467,7 +441,7 @@ def test_no_array_grows_with_the_square_of_the_group():
     group, p = get_group(n), kernels.plan(n)
     held = [*vars(group).values(), *p]
     arrays = [x for x in held if isinstance(x, np.ndarray)]
-    assert len(arrays) == 7
+    assert len(arrays) == 6
     assert max(x.size for x in arrays) < group.order**2 // 8
 
 
