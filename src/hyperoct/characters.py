@@ -7,11 +7,11 @@ negative-count sign character for the all-negative labels, and combine the
 two sides with an induction product computed by class fusion.
 
 Symmetric-group values come from the Murnaghan-Nakayama recursion on
-beta-sets.  Induction from explicitly enumerated subgroups is done by a
-full conjugation sweep over the ambient group (``groupdata.class_sweep``),
-which is cheap at desk scale and sidesteps fusion bookkeeping for
-irregular subgroups.  A subgroup character's root-of-unity values are
-kept as integer exponents.
+beta-sets.  Subgroups are index arrays into ``groupdata.get_group(n)``,
+their characters' root-of-unity values integer exponents; induction from
+them is a full conjugation sweep over the ambient group
+(``groupdata.class_sweep``), which sidesteps fusion bookkeeping for
+irregular subgroups.  A cyclic coset module is the induction formula.
 
 Every character of B_n is integer-valued, so a class function is a tuple
 of Python ints; the producers that divide go through ``divide_exactly``,
@@ -35,8 +35,10 @@ from .permutations import (
     SignedPartition,
     SignedPerm,
     centralizer_generators_labeled,
+    centralizer_order,
     class_size,
     compose,
+    cycle_type,
     group_order,
     identity,
     signed_partition_to_str,
@@ -270,43 +272,43 @@ def regular_character(n: int) -> ClassFunction:
 
 
 def subgroup_character(
-    ambient: int, generators: list[tuple[SignedPerm, int]]
-) -> tuple[int, dict[SignedPerm, int]]:
-    """The 1-dimensional character of the subgroup generated by
+    n: int, ambient: int, generators: list[tuple[SignedPerm, int]]
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The 1-dimensional character of the subgroup of B_n generated by
     ``generators``, pairs ``(g, exponent)`` sending g to w^exponent for w a
-    primitive ``ambient``-th root of unity, as ``(ambient, exponents)``.
+    primitive ``ambient``-th root of unity, as ``(ambient, members,
+    exponents)``: the subgroup's ascending indices in ``get_group(n)`` and
+    the exponent mod ``ambient`` of each.
 
-    The exponents are built by multiplicative closure mod ``ambient``; a
-    conflicting exponent on some element raises ArithmeticError, certifying
-    that the assignment is a homomorphism on every run.
+    The closure runs on indices, one frontier per array step; a conflicting
+    exponent raises ArithmeticError, certifying on every run that the
+    assignment is a homomorphism.
     """
-    ident = identity(len(generators[0][0]))
-    exponents: dict[SignedPerm, int] = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            eg = exponents[g]
-            for h, eh in generators:
-                gh = compose(g, h)
-                egh = (eg + eh) % ambient
-                known = exponents.get(gh)
-                if known is None:
-                    exponents[gh] = egh
-                    nxt.append(gh)
-                elif known != egh:
-                    raise ArithmeticError(
-                        f"inconsistent character value on {gh}; not a homomorphism"
-                    )
-        frontier = nxt
-    return ambient, exponents
+    group = get_group(n)
+    gens = np.array([group.index[g] for g, _ in generators], dtype=np.intp)
+    steps = np.array([e for _, e in generators], dtype=np.intp)
+    exponents = np.full(group.order, -1, dtype=np.intp)  # -1 off the subgroup
+    exponents[0] = 0  # index 0 is the identity
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        products = group.mul(frontier[:, None], gens).ravel()
+        values = ((exponents[frontier][:, None] + steps) % ambient).ravel()
+        new = exponents[products] < 0
+        exponents[products[new]] = values[new]
+        bad = np.flatnonzero(exponents[products] != values)
+        if len(bad):
+            g = group.elements[products[bad[0]]]
+            raise ArithmeticError(f"inconsistent character value on {g}; not a homomorphism")
+        frontier = np.flatnonzero(np.bincount(products[new], minlength=group.order))
+    members = np.flatnonzero(exponents >= 0)
+    return ambient, members, exponents[members]
 
 
-def rho_character(lam: SignedPartition) -> tuple[int, dict[SignedPerm, int]]:
+def rho_character(lam: SignedPartition) -> tuple[int, np.ndarray, np.ndarray]:
     """The centralizer of the standard representative with its root-of-unity
-    character, as ``(ambient, exponents)`` (see ``subgroup_character``).
-    Block cycles map to primitive roots (order of the cycle), block
-    sign-flips and block swaps to 1.
+    character, as ``(ambient, members, exponents)`` (see
+    ``subgroup_character``).  Block cycles map to primitive roots (order of
+    the cycle), block sign-flips and block swaps to 1.
     """
     ambient = lcm(1, *[s for s in lam[0]], *[2 * s for s in lam[1]])
     gens: list[tuple[SignedPerm, int]] = []
@@ -318,15 +320,15 @@ def rho_character(lam: SignedPartition) -> tuple[int, dict[SignedPerm, int]]:
         else:
             exp = 0
         gens.append((g, exp))
-    return subgroup_character(ambient, gens)
+    return subgroup_character(sum(lam[0]) + sum(lam[1]), ambient, gens)
 
 
 def induce_character(
-    character: tuple[int, dict[SignedPerm, int]], n: int
+    character: tuple[int, np.ndarray, np.ndarray], n: int
 ) -> ClassFunction:
-    """Induce a 1-dimensional character ``(ambient, {element: exponent})``,
-    with values w^exponent for w a primitive ``ambient``-th root of unity,
-    from the subgroup H it is defined on up to B_n.
+    """Induce a 1-dimensional character ``(ambient, members, exponents)`` of
+    a subgroup H of B_n (H's element indices in ``get_group(n)``, and values
+    w^exponent for w a primitive ``ambient``-th root of unity) up to B_n.
 
     chi_up(g) = (1/|H|) sum over x in B_n with x g x^{-1} in H of
     chi(x g x^{-1}).  The sweep counts, per class, how often each exponent
@@ -335,10 +337,9 @@ def induce_character(
     its quotient by |H| an integer; otherwise ArithmeticError names the
     class.
     """
-    ambient, exponents = character
-    group = get_group(n)
-    codes = np.full(group.order, ambient, dtype=np.intp)
-    codes[[group.index[g] for g in exponents]] = [e % ambient for e in exponents.values()]
+    ambient, members, exponents = character
+    codes = np.full(get_group(n).order, ambient, dtype=np.intp)
+    codes[members] = exponents % ambient
     counts = np.stack(
         [np.bincount(codes[row], minlength=ambient + 1) for row in class_sweep(n)]
     )
@@ -349,7 +350,7 @@ def induce_character(
         raise ArithmeticError(
             f"induced character has an irrational value at class {signed_partition_to_str(lam)}"
         )
-    return divide_exactly(n, sums[:, 0].tolist(), len(exponents))
+    return divide_exactly(n, sums[:, 0].tolist(), len(members))
 
 
 def coxeter_element(n: int) -> SignedPerm:
@@ -358,24 +359,19 @@ def coxeter_element(n: int) -> SignedPerm:
 
 
 def cyclic_subgroup(g: SignedPerm) -> list[SignedPerm]:
-    """The powers of g, from the identity, by the closure of
-    ``subgroup_character`` on the one generator g."""
-    return list(subgroup_character(1, [(g, 0)])[1])
+    """The powers of g, from the identity, up to the order of g."""
+    powers, power = [identity(len(g))], g
+    while power != powers[0]:
+        powers.append(power)
+        power = compose(power, g)
+    return powers
 
 
-def coset_permutation_character(n: int, subgroup) -> ClassFunction:
-    """Character of B_n permuting the left cosets of ``subgroup``.
-
-    Counted directly as fixed cosets under left translation (independent of
-    the induction-formula route, so the two can cross-check each other).
-    """
-    group = get_group(n)
-    # the least index in x H labels the coset x H, and lies in it
-    members = np.array([group.index[h] for h in subgroup])
-    coset_of = group.mul(np.arange(group.order)[:, None], members[None, :]).min(axis=1)
-    reps = np.unique(coset_of)
-    vals = []
-    for lam in signed_partitions(n):
-        moved = group.mul(group.index[standard_representative(lam)], reps)
-        vals.append(int(np.count_nonzero(coset_of[moved] == reps)))
-    return ClassFunction(n, tuple(vals))
+def cyclic_permutation_character(c: SignedPerm) -> ClassFunction:
+    """Character of B_m, m = len(c), permuting the left cosets of the cyclic
+    group C = <c>, by the induction formula: Ind_C 1 at the class lam is
+    |C_{B_m}(x_lam)| #{j : c^j in lam} / |C|.  An inexact quotient raises
+    ArithmeticError naming its class (``divide_exactly``)."""
+    types = [cycle_type(p) for p in cyclic_subgroup(c)]
+    sums = [centralizer_order(lam) * types.count(lam) for lam in signed_partitions(len(c))]
+    return divide_exactly(len(c), sums, len(types))

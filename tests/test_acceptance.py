@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm
 
+import numpy as np
 import pytest
 
 from hyperoct.algebra import (
@@ -24,8 +25,8 @@ from hyperoct.algebra import (
 from hyperoct.characters import (
     bn_irreducible,
     character_table,
-    coset_permutation_character,
     coxeter_element,
+    cyclic_permutation_character,
     cyclic_subgroup,
     decompose,
     induce_character,
@@ -41,6 +42,7 @@ from hyperoct.chambers import (
     evaluation_matrix,
 )
 from hyperoct.equivariant import equivariant_relations, verify_specializations
+from hyperoct.groupdata import get_group
 from hyperoct.permutations import (
     centralizer_order,
     compose,
@@ -242,8 +244,7 @@ def test_criterion_08_ungraded_totals():
         total = y[0]
         for k in range(1, m + 1):
             total = total + y[k]
-        cox = coxeter_element(m + 1)
-        assert total == coset_permutation_character(m + 1, cyclic_subgroup(cox))
+        assert total == cyclic_permutation_character(coxeter_element(m + 1))
     _report(8, "totals: regular at n<=4; coset module for lifted ranks <=4")
 
 
@@ -269,7 +270,9 @@ def test_criterion_09_coxeter_type_component():
             exponents[g] = a * ambient // n
             exponents[compose(g, w0)] = (a * ambient // n + ambient // 2) % ambient
             g = compose(g, eta)
-        assert tchar == induce_character((ambient, exponents), n)
+        index = get_group(n).index
+        members = np.array([index[g] for g in exponents])
+        assert tchar == induce_character((ambient, members, np.array([*exponents.values()])), n)
     _report(9, "dimension 2^(n-1)(n-1)! to n=5; both induced descriptions to n=4")
 
 

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+import numpy as np
 import pytest
 
 from hyperoct import characters
@@ -10,8 +11,8 @@ from hyperoct.characters import (
     ClassFunction,
     bn_irreducible,
     character_table,
-    coset_permutation_character,
     coxeter_element,
+    cyclic_permutation_character,
     cyclic_subgroup,
     decompose,
     divide_exactly,
@@ -27,6 +28,7 @@ from hyperoct.characters import (
     underlying_type,
 )
 from hyperoct.cyclotomic import cyclotomic_polynomial, power_rows
+from hyperoct.groupdata import get_group
 from hyperoct.permutations import (
     centralizer_order,
     compose,
@@ -199,25 +201,103 @@ def test_regular_character_pairing():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rho_closure_sizes(n):
     for lam in signed_partitions(n):
-        ambient, exponents = rho_character(lam)
-        assert len(exponents) == centralizer_order(lam)
-        assert all(0 <= e < ambient for e in exponents.values())
+        ambient, members, exponents = rho_character(lam)
+        assert len(members) == len(exponents) == centralizer_order(lam)
+        assert all(0 <= e < ambient for e in exponents.tolist())
 
 
 def test_rho_trivial_on_all_singleton_positive_type():
     n = 3
-    _, exponents = rho_character(((1,) * n, ()))
-    assert all(e == 0 for e in exponents.values())
+    _, _, exponents = rho_character(((1,) * n, ()))
+    assert not exponents.any()
 
 
 def test_rho_on_coxeter_centralizer_is_faithful_root():
     n = 3
-    ambient, exponents = rho_character(((), (n,)))
+    ambient, _, exponents = rho_character(((), (n,)))
 
     def value_order(e):
         return ambient // gcd(e, ambient)
 
-    assert max(value_order(e) for e in exponents.values()) == 2 * n
+    assert max(value_order(e) for e in exponents.tolist()) == 2 * n
+
+
+def _tuple_subgroup_character(ambient, generators):
+    """The oracle closure: breadth first over signed-permutation tuples with
+    ``compose``, as ``(ambient, {element: exponent})``; a conflicting
+    exponent raises ArithmeticError."""
+    ident = identity(len(generators[0][0]))
+    exponents = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h, eh in generators:
+                gh = compose(g, h)
+                egh = (exponents[g] + eh) % ambient
+                known = exponents.get(gh)
+                if known is None:
+                    exponents[gh] = egh
+                    nxt.append(gh)
+                elif known != egh:
+                    raise ArithmeticError(f"inconsistent character value on {gh}")
+        frontier = nxt
+    return ambient, exponents
+
+
+def _by_element(n, character):
+    """An indexed subgroup character as ``(ambient, {element: exponent})``."""
+    ambient, members, exponents = character
+    elements = get_group(n).elements
+    return ambient, {elements[i]: e for i, e in zip(members.tolist(), exponents.tolist())}
+
+
+def _indexed(n, ambient, exponents):
+    """``(ambient, {element: exponent})`` as an indexed subgroup character."""
+    index = get_group(n).index
+    members = np.array([index[g] for g in exponents], dtype=np.intp)
+    return ambient, members, np.array(list(exponents.values()), dtype=np.intp)
+
+
+def _rho_generators(lam):
+    """rho_character's generators: a block cycle to a primitive root of its
+    order, sign-flips and swaps to 1."""
+    ambient = lcm(1, *lam[0], *[2 * s for s in lam[1]])
+    order = {"cycle+": 1, "cycle-": 2}  # times the block size
+    return ambient, [
+        (g, ambient // (order[kind] * size) if kind in order else 0)
+        for kind, size, g in characters.centralizer_generators_labeled(lam)
+    ]
+
+
+def _gn1_generators(n):
+    eta = tuple(list(range(2, n + 1)) + [1])
+    ambient = lcm(n, 2)
+    return ambient, [(eta, ambient // n), (longest_element(n), ambient // 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_index_closure_matches_the_tuple_closure(n):
+    # every centralizer character and gn1's <eta, -1>: the same members with
+    # the same exponents as the closure over tuples
+    for lam in signed_partitions(n):
+        ambient, gens = _rho_generators(lam)
+        got = _by_element(n, rho_character(lam))
+        assert got == _tuple_subgroup_character(ambient, gens), lam
+    ambient, gens = _gn1_generators(n)
+    got = _by_element(n, subgroup_character(n, ambient, gens))
+    assert got == _tuple_subgroup_character(ambient, gens)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rho_members_are_the_centralizer(n):
+    # {x : x g = g x} for the class representative g, in one mul pass
+    group = get_group(n)
+    x = np.arange(group.order)
+    for lam in signed_partitions(n):
+        g = group.index[standard_representative(lam)]
+        centralizer = np.flatnonzero(group.mul(x, g) == group.mul(g, x))
+        assert np.array_equal(rho_character(lam)[1], centralizer), lam
 
 
 def test_induced_coxeter_character_at_rank_6():
@@ -267,7 +347,7 @@ def _induced_by_definition(character, n):
     The sum over x is sum_k c_k w^k with c_k the number of conjugates with
     exponent k; being rational, it equals its Galois average
     sum_k c_k c_m(k) / phi(m), with c_m the Ramanujan sum."""
-    ambient, exponents = character
+    ambient, exponents = _by_element(n, character)
     phi = sum(1 for j in range(1, ambient + 1) if gcd(j, ambient) == 1)
     values = []
     for lam in signed_partitions(n):
@@ -293,7 +373,7 @@ def _unsigned_cycle_with_central_sign(n):
         exponents[g] = a * ambient // n
         exponents[compose(g, w0)] = (a * ambient // n + ambient // 2) % ambient
         g = compose(g, eta)
-    return ambient, exponents
+    return _indexed(n, ambient, exponents)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -315,12 +395,12 @@ def test_induce_character_rejects_irrational_values():
     exponents = {g: 0 for g in cyclic_subgroup(c)}
     exponents[c] = 1
     with pytest.raises(ArithmeticError):
-        induce_character((4, exponents), 2)
+        induce_character(_indexed(2, 4, exponents), 2)
 
 
 def test_induce_from_trivial_subgroup_is_regular():
     n = 2
-    chi = induce_character((1, {(1, 2): 0}), n)
+    chi = induce_character(_indexed(n, 1, {(1, 2): 0}), n)
     assert chi == regular_character(n)
 
 
@@ -378,12 +458,12 @@ def test_subgroup_character_closes_and_certifies():
     # <eta, -1> in B_3: eta a primitive cube root, -1 the square root of 1
     n, ambient = 3, 6
     eta, w0 = (2, 3, 1), longest_element(n)
-    got_ambient, exponents = subgroup_character(ambient, [(eta, 2), (w0, 3)])
+    got_ambient, exponents = _by_element(n, subgroup_character(n, ambient, [(eta, 2), (w0, 3)]))
     assert got_ambient == ambient and len(exponents) == 2 * n
     assert exponents[compose(eta, w0)] == 5
     # eta has order 3, so eta -> w^1 is no character of <eta>
-    with pytest.raises(ArithmeticError):
-        subgroup_character(ambient, [(eta, 1)])
+    with pytest.raises(ArithmeticError, match="not a homomorphism"):
+        subgroup_character(n, ambient, [(eta, 1)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -408,18 +488,40 @@ def test_divide_exactly_names_the_first_inexact_class():
         divide_exactly(2, [4, 3, 1, 6, 2], 2)
 
 
+def coset_permutation_character(n, members):
+    """The oracle: the character of B_n permuting the left cosets of the
+    subgroup with element indices ``members``, counted directly as fixed
+    cosets under left translation."""
+    group = get_group(n)
+    # the least index in x H labels the coset x H, and lies in it
+    coset_of = group.mul(np.arange(group.order)[:, None], members[None, :]).min(axis=1)
+    reps = np.flatnonzero(np.bincount(coset_of, minlength=group.order))
+    vals = []
+    for lam in signed_partitions(n):
+        moved = group.mul(group.index[standard_representative(lam)], reps)
+        vals.append(int(np.count_nonzero(coset_of[moved] == reps)))
+    return ClassFunction(n, tuple(vals))
+
+
+def _cyclic_members(c):
+    index = get_group(len(c)).index
+    return np.array([index[g] for g in cyclic_subgroup(c)], dtype=np.intp)
+
+
 def test_coset_character_against_induction_formula():
-    for n in (2, 3):
-        sub = cyclic_subgroup(coxeter_element(n))
-        direct = coset_permutation_character(n, sub)
-        induced = induce_character((1, {g: 0 for g in sub}), n)
-        assert direct == induced
-        assert direct.degree == group_order(n) // (2 * n)
-        assert inner_product(direct, character_table(n)[((n,), ())]) == 1
+    # the formula against the fixed-coset count and the induction sweep
+    for m in range(1, 7):
+        c = coxeter_element(m)
+        members = _cyclic_members(c)
+        chi = cyclic_permutation_character(c)
+        assert chi == coset_permutation_character(m, members), m
+        assert chi == induce_character((1, members, np.zeros_like(members)), m), m
+        assert chi.degree == group_order(m) // (2 * m)
+        assert inner_product(chi, character_table(m)[((m,), ())]) == 1
 
 
 def test_coset_character_rank_two_decomposition():
-    chi = coset_permutation_character(2, cyclic_subgroup(coxeter_element(2)))
+    chi = cyclic_permutation_character(coxeter_element(2))
     assert decompose(chi) == {((2,), ()): 1, ((), (1, 1)): 1}
 
 
@@ -473,4 +575,4 @@ def test_every_character_value_is_a_python_int(n):
     for space in ("Z3", "Z1"):
         for chi in graded_character(n, space):
             _assert_int_valued(chi)
-    _assert_int_valued(coset_permutation_character(n, cyclic_subgroup(coxeter_element(n))))
+    _assert_int_valued(cyclic_permutation_character(coxeter_element(n)))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperoct
@@ -99,6 +100,27 @@ def test_cli_import_after_numpy_leaves_the_blas_variable_unset():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["None"]
+
+
+def test_verify_all_does_not_import_numpy_ma():
+    # numpy.ma comes in with 1-D np.unique on integers; no check needs it,
+    # and the import would show in every run's start-up time and memory
+    src = os.path.dirname(os.path.dirname(hyperoct.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys; from hyperoct.cli import main; "
+        "code = main(['verify', 'all', '--n', '2']); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_cli_failure_exit_code(monkeypatch):
@@ -209,6 +231,7 @@ def test_irrational_induced_value_fails_the_check(monkeypatch, capsys, suite, ch
     # c alone is no character: its induced value on the class of c is
     # irrational.  Nothing here is lru_cached, so no cache is poisoned.
     from hyperoct import characters, suites
+    from hyperoct.groupdata import get_group
 
     honest = suites.rho_character
     cox = characters.coxeter_element(2)
@@ -216,15 +239,35 @@ def test_irrational_induced_value_fails_the_check(monkeypatch, capsys, suite, ch
     def broken(lam):
         if lam != ((), (2,)):
             return honest(lam)
-        exponents = {g: 0 for g in characters.cyclic_subgroup(cox)}
-        exponents[cox] = 1
-        return 4, exponents
+        index = get_group(2).index
+        members = np.array([index[g] for g in characters.cyclic_subgroup(cox)])
+        return 4, members, (members == index[cox]).astype(np.intp)
 
     monkeypatch.setattr(suites, "rho_character", broken)
     assert main(["verify", suite, "--n", "2", "--format", "json"]) == 1
     checks = {c["id"]: c for c in _json_report(capsys)["checks"]}
     assert checks[check_id]["status"] == "fail"
     assert "irrational value at class" in checks[check_id]["witness"]
+
+
+def test_inexact_coset_formula_fails_the_lifted_total(monkeypatch, capsys):
+    # one more on the centralizer order of the Coxeter class of B_3 makes
+    # the induction formula's quotient there 2 * 7 / 6; ungraded records
+    # the failed check with the class named instead of exiting on an
+    # internal error
+    from hyperoct import characters
+
+    honest = characters.centralizer_order
+    cox = ((), (3,))
+    monkeypatch.setattr(
+        characters, "centralizer_order", lambda lam: honest(lam) + (lam == cox)
+    )
+    assert main(["verify", "ungraded", "--n", "2", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in _json_report(capsys)["checks"]}
+    assert checks["total-is-regular"]["status"] == "pass"
+    failed = checks["lifted-total-is-coset-representation"]
+    assert failed["status"] == "fail"
+    assert f"at class {signed_partition_to_str(cox)} is not an integer" in failed["witness"]
 
 
 def test_non_character_graded_piece_fails_the_decomposition(monkeypatch, capsys):

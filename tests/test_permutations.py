@@ -166,7 +166,7 @@ def _centralizer_generators(lam):
 
 
 def test_centralizer_generators_commute_and_generate():
-    # rho_character's keys are the closure of the labeled generators
+    # rho_character's members are the closure of the labeled generators
     for n in range(1, 5):
         for lam in signed_partitions(n):
             rep = standard_representative(lam)
