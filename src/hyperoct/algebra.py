@@ -97,7 +97,13 @@ class AlgebraElement:
         if g != 1:
             num, den = num // g, den // g
         if num.dtype == object:
-            num = num.astype(kernels.exact_dtype(kernels.max_abs(num)))
+            try:
+                narrow = num.astype(np.int64)
+            except OverflowError:  # past int64: the entries stay Python integers
+                pass
+            else:
+                if -kernels.INT64_BOUND < narrow.min() and narrow.max() < kernels.INT64_BOUND:
+                    num = narrow
         out = AlgebraElement.__new__(AlgebraElement)
         out._set(n, num, den)
         return out

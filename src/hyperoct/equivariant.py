@@ -13,11 +13,12 @@ four relation families:
 R3 is stated here with the loop z_j, matching the disjoint-support
 argument that produces it (one checks the displayed alternative with z_i
 does not specialize into either quotient, and the u -> 0 image below
-forces the z_j form).  Setting u = 0 recovers, up to sign, generators of
-the graded d = 3 ideal; setting u = 1 recovers generators of the d = 1
-function-ring ideal.  This module is a symbolic checker: polynomials are
-kept in the free ring (no straightening), and the specializations are
-verified by reducing in the target rings.
+forces the z_j form).  R1-R3 are (x + y) z - x y - u z at a label
+triple, minus the rings' one formula with z made uz: u = 0 gives the
+d = 3 instance, u = 1 the d = 1 one.  This module is a symbolic checker
+with its own expansion: polynomials are kept in the free ring (no
+straightening), and the specializations are verified by reducing in the
+target rings.
 
 The orbit is decided in one place, ``PresentedRing.relation_labels`` of
 the d = 1 ring in ``hyperoct.rings``: every loop and pair label over the
@@ -84,7 +85,9 @@ class EquivariantRelationSet:
 
 def _triple_relation(x: FreePoly, y: FreePoly, z: FreePoly) -> FreePoly:
     """u^{-1}( x y (z - u) - (x - u)(y - u) z ) = (x + y) z - x y - u z,
-    the shape of R1-R3."""
+    the shape of R1-R3: minus ``PresentedRing._triple_relation`` with its
+    constant homogenized, so u -> 0 gives the Z3 instance and u -> 1 the Z1
+    instance, expanded by ``_fmul`` as the check's independent evidence."""
     return poly_sub(_fmul(poly_add(x, y), z), poly_add(_fmul(x, y), _fmul({(U,): 1}, z)))
 
 

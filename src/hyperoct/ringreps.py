@@ -14,10 +14,10 @@ on the ring of that name at rank n; ``Y1`` and ``Y3``, the lifted spaces,
 are B_{n+1} acting on the same two rings.  There is no ``Y`` ring:
 ``get_ring`` builds only ``Z1`` and ``Z3``.
 
-Only those coefficients are computed: the image of all but the last
-generator of m is shared by every basis monomial with the same prefix,
-and of its product with the last generator's image only the coefficient
-of m is summed.
+Only those coefficients are computed: ``PresentedRing.image``, the routine
+of ``act``, forms the image of m's prefix once per class representative,
+and of its product with the last generator's image only the coefficient of
+m is summed.
 """
 
 from __future__ import annotations
@@ -48,30 +48,15 @@ def diagonal_coefficients(
 ) -> dict[SignedPartition, tuple[int, ...]]:
     """Per class representative, the action's diagonal on the nbc basis."""
     ring = get_ring(_RING_OF[space], rank)
-    basis = ring.nbc_masks()
-    n_act = acting_rank(space, rank)
+    image, coefficient = ring.image, ring.product_coefficient
+    # the basis after its first monomial, 1, which every sigma fixes
+    tops = [(m, 1 << (m.bit_length() - 1)) for m in ring.nbc_masks()[1:]]
     out: dict[SignedPartition, tuple[int, ...]] = {}
-    for lam in signed_partitions(n_act):
-        sigma = standard_representative(lam)
-        images = {ring.bits[g]: ring.act_on_generator(sigma, g).masks for g in ring.gens}
-        # image of each monomial prefix (all but its highest bit), in normal form
-        prefixes: dict[int, dict[int, int]] = {0: {0: 1}}
-
-        def image_of(prefix: int) -> dict[int, int]:
-            img = prefixes.get(prefix)
-            if img is None:
-                top = 1 << (prefix.bit_length() - 1)
-                img = ring.product(image_of(prefix ^ top), images[top])
-                prefixes[prefix] = img
-            return img
-
-        row = []
-        for m in basis:
-            if m:
-                top = 1 << (m.bit_length() - 1)
-                row.append(ring.product_coefficient(image_of(m ^ top), images[top], m))
-            else:
-                row.append(1)
+    for lam in signed_partitions(acting_rank(space, rank)):
+        sigma, images = standard_representative(lam), {}
+        row = [1]
+        for m, top in tops:
+            row.append(coefficient(image(sigma, m ^ top, images), image(sigma, top, images), m))
         out[lam] = tuple(row)
     return out
 
@@ -103,7 +88,7 @@ def graded_character(n: int, space: str) -> list[ClassFunction]:
     ]
 
 
-def _bidegree(m: Monomial) -> tuple[int, int]:
+def bidegree(m: Monomial) -> tuple[int, int]:
     """(total degree, loop degree) of a monomial."""
     return len(m), sum(1 for g in m if len(g) == 1)
 
@@ -113,8 +98,9 @@ def type_shape(m: Monomial, rank: int) -> SignedPartition:
 
 
 @lru_cache(maxsize=None)
-def _type_buckets(rank: int) -> dict[SignedPartition, tuple[int, ...]]:
-    """Positions in the Z3 nbc basis, bucketed by the shape of their type."""
+def type_buckets(rank: int) -> dict[SignedPartition, tuple[int, ...]]:
+    """Positions in the Z3 nbc basis, bucketed by the shape of their type
+    (the one type sweep: type characters and bigrading read it)."""
     buckets = _basis_buckets("Z3", rank, lambda m: type_shape(m, rank))
     return {lam: tuple(pos) for lam, pos in buckets.items()}
 
@@ -122,15 +108,15 @@ def _type_buckets(rank: int) -> dict[SignedPartition, tuple[int, ...]]:
 def type_character(lam: SignedPartition) -> ClassFunction:
     """Character on the span of nbc monomials whose type has shape lam."""
     n = sum(lam[0]) + sum(lam[1])
-    return _bucket_character("Z3", n, _type_buckets(n).get(lam, ()))
+    return _bucket_character("Z3", n, type_buckets(n).get(lam, ()))
 
 
 def type_dimension(lam: SignedPartition) -> int:
     n = sum(lam[0]) + sum(lam[1])
-    return len(_type_buckets(n).get(lam, ()))
+    return len(type_buckets(n).get(lam, ()))
 
 
 def bigraded_dimensions(n: int) -> dict[tuple[int, int], int]:
     """Dimensions of the (total degree, loop degree) pieces of the graded
     d = 3 ring."""
-    return {key: len(pos) for key, pos in _basis_buckets("Z3", n, _bidegree).items()}
+    return {key: len(pos) for key, pos in _basis_buckets("Z3", n, bidegree).items()}

@@ -15,7 +15,8 @@ which the marked-point identification stores in the same coordinates: the
 ring is the same, and the extra letter may move the marked point.
 ``act_on_generator`` has one formula, on the letter triple of a
 generator.  B_rank acts through its lift, the elements of B_{rank+1}
-fixing the marked point: s becomes ``(1, *map(letter, s))``.
+fixing the marked point: s becomes ``(1, *map(letter, s))``.  ``image``
+is the one image routine, for ``act`` and the traces in ``ringreps``.
 
 Non-canonical labels (swapped or negated indices) rewrite to affine-linear
 combinations of canonical generators; products are straightened to the
@@ -29,12 +30,14 @@ order with letters ordered
 
     0 < -0 < 1 < -1 < 2 < -2 < ...
 
-A completion pass reduces the instances in turn and orients each one that
-survives into a rule, then interreduces the right-hand sides.  The build
-itself checks only that every same-hand pair has a rule.  What certifies
-a table is ``verify_relations``, which reduces every instance to zero: the
-tests run it on fresh tables, and a table loaded from the cache must pass
-it before it is used, or it is rebuilt and stored again.
+Both rings expand one formula at a label triple (x, y, z): xy - xz - yz,
+plus z in the d = 1 ring.  A completion pass reduces the instances in
+turn and orients each one that survives into a rule, then interreduces
+the right-hand sides.  The build itself checks only that every same-hand
+pair has a rule.  What certifies a table is ``verify_relations``, which
+reduces every instance to zero: the tests run it on fresh tables, and a
+table loaded from the cache must pass it before it is used, or it is
+rebuilt and stored again.
 
 Inside the engine a square-free monomial is an int bitmask: the ring
 numbers its generators in ``gen_rank_key`` order and sets bit k for
@@ -337,19 +340,16 @@ class PresentedRing:
 
     # -- free expansion (used only while generating relations) ---------------
 
-    def _free_product(self, polys) -> dict[Mask, int]:
+    def _free_product(self, p: dict[Mask, int], q: dict[Mask, int]) -> dict[Mask, int]:
         graded = self.graded
-        out = {0: 1}
-        for poly in polys:
-            nxt: dict[Mask, int] = {}
-            for m1, c1 in out.items():
-                for m2, c2 in poly.items():
-                    if graded and m1 & m2:
-                        continue
-                    m = m1 | m2
-                    nxt[m] = nxt.get(m, 0) + c1 * c2
-            out = {m: c for m, c in nxt.items() if c}
-        return out
+        out: dict[Mask, int] = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                if graded and m1 & m2:
+                    continue
+                m = m1 | m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return {m: c for m, c in out.items() if c}
 
     def relation_labels(self) -> tuple[dict[tuple, RingElement], list[tuple]]:
         """Every loop label ``(a,)`` and pair label ``(a, b)`` over the signed
@@ -379,11 +379,12 @@ class PresentedRing:
 
     def _triple_relation(self, x, y, z) -> dict[Mask, int]:
         """The relation on three generator images, expanded in the free ring:
-        xy - xz - yz when graded, xy(1 - z) + (1 - x)(1 - y)z otherwise."""
+        xy - xz - yz, plus z (d = 1: xy(1 - z) + (1 - x)(1 - y)z).  Minus
+        this with z made uz is ``equivariant``'s R(u) = (x + y)z - xy - uz:
+        u -> 0 gives the Z3 instance and u -> 1 the Z1 instance."""
         prod = self._free_product
-        if self.graded:
-            return poly_sub(prod([x, y]), poly_add(prod([x, z]), prod([y, z])))
-        return poly_add(prod([x, y, _one_minus(z)]), prod([_one_minus(x), _one_minus(y), z]))
+        rel = poly_sub(prod(x, y), poly_add(prod(x, z), prod(y, z)))
+        return rel if self.graded else poly_add(rel, z)
 
     # -- completion -----------------------------------------------------------
 
@@ -669,24 +670,32 @@ class PresentedRing:
             apply(sigma, letter(s * j)),
         )
 
+    def image(self, sigma: SignedPerm, m: Mask, memo: dict) -> dict[Mask, int]:
+        """Normal form of ``sigma`` on the monomial ``m``: its prefix's image
+        (``m`` without the top bit) times its top generator's, so products
+        associate bits low to high.  ``memo`` keeps the images under ``sigma``."""
+        img = memo.get(m)
+        if img is None:
+            k = m.bit_length() - 1
+            if m & (m - 1):
+                top = 1 << k
+                img = self.product(self.image(sigma, m ^ top, memo), self.image(sigma, top, memo))
+            elif m:
+                img = self.act_on_generator(sigma, self._bit_gens[k]).masks
+            else:
+                img = {0: 1}
+            memo[m] = img
+        return img
+
     def act(self, sigma: SignedPerm, x: RingElement) -> RingElement:
         if x.ring is not self:
             raise ValueError("element does not belong to this ring")
-        images: dict[Mask, dict[Mask, int]] = {}
+        memo: dict[Mask, dict[Mask, int]] = {}
         out: dict[Mask, int] = {}
         for m, c in x.masks.items():
-            term = {0: c}
-            rest = m
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                img = images.get(b)
-                if img is None:
-                    g = self._bit_gens[b.bit_length() - 1]
-                    img = images[b] = self.act_on_generator(sigma, g).masks
-                term = self.product(term, img)
-            out = poly_add(out, term)
-        return RingElement._of(self, out)
+            for k, v in self.image(sigma, m, memo).items():
+                out[k] = out.get(k, 0) + c * v
+        return RingElement._of(self, {k: v for k, v in out.items() if v})
 
 
 def poly_add(p, q):
@@ -698,10 +707,6 @@ def poly_add(p, q):
 
 def poly_sub(p, q):
     return poly_add(p, {m: -c for m, c in q.items()})
-
-
-def _one_minus(p):
-    return poly_add({m: -c for m, c in p.items()}, {0: 1})
 
 
 @lru_cache(maxsize=None)

@@ -63,11 +63,12 @@ from .permutations import (
     signed_partitions,
 )
 from .ringreps import (
+    bidegree,
     bigraded_dimensions,
     graded_character,
     type_character,
+    type_buckets,
     type_dimension,
-    type_shape,
 )
 from .rings import associated_graded_mismatch, get_ring, hilbert_coefficients
 
@@ -722,16 +723,14 @@ def _suite_bigrading(n: int, rec: _Recorder):
         f"degree count {coeffs[bad[0]]}",
     )
 
-    ring = get_ring("Z3", n)
-    bad = []
-    shape_counts: dict = {}
-    for m in ring.nbc_basis():
-        shape = type_shape(m, n)
-        shape_counts[shape] = shape_counts.get(shape, 0) + 1
-        k = len(m)
-        loops = sum(1 for g in m if len(g) == 1)
-        if len(shape[0]) != n - k or len(shape[1]) != loops:
-            bad.append(m)
+    basis = get_ring("Z3", n).nbc_basis()
+    buckets = type_buckets(n)
+    bad = sorted(
+        p
+        for shape, positions in buckets.items()
+        for p in positions
+        if bidegree(basis[p]) != (n - len(shape[0]), len(shape[1]))
+    )
     rec.record(
         "type-refines-bidegree",
         "type-components-partition-the-bigrading",
@@ -739,14 +738,14 @@ def _suite_bigrading(n: int, rec: _Recorder):
         "every basis monomial of bidegree (k, l) has n-k positive and l negative "
         "type blocks"
         if not bad
-        else f"violation at {bad[0]}",
+        else f"violation at {basis[bad[0]]}",
     )
 
     failure = None
     for (k, l), d in dims.items():
         total = sum(
-            c
-            for shape, c in shape_counts.items()
+            len(positions)
+            for shape, positions in buckets.items()
             if len(shape[0]) == n - k and len(shape[1]) == l
         )
         if total != d:

@@ -631,6 +631,14 @@ def test_canonical_form_makes_equality_and_hash_exact():
         zero = e - e
         assert zero.is_zero() and zero.den == 1 and zero == AlgebraElement.zero(3)
         assert hash(zero) == hash(AlgebraElement.zero(3))
+    # a Python-integer numerator narrows to int64 exactly below the bound,
+    # wherever the largest entry sits
+    bound = kernels.INT64_BOUND
+    for top in (bound - 1, -(bound - 1), bound, 2**63 - 1, -(2**63), 2**70):
+        for values in ([top, 3] + [0] * 6, [3] + [0] * 6 + [top]):
+            e = AlgebraElement._reduced(2, np.array(values, dtype=object), 1)
+            assert e.num.tolist() == values
+            _assert_canonical(e)
 
 
 def test_cached_idempotent_numerators_are_read_only():

@@ -156,7 +156,7 @@ def test_reports_deterministic_with_cold_and_warm_cache(tmp_path, monkeypatch):
     from hyperoct import rings, ringreps
 
     def run_fresh():
-        for fn in (rings.get_ring, ringreps.diagonal_coefficients, ringreps._type_buckets):
+        for fn in (rings.get_ring, ringreps.diagonal_coefficients, ringreps.type_buckets):
             fn.cache_clear()
         return run_suite("all", 3).to_json()
 

@@ -16,9 +16,9 @@ from hyperoct.permutations import (
 )
 from hyperoct.ringreps import (
     _basis_buckets,
-    _bidegree,
     _bucket_character,
     acting_rank,
+    bidegree,
     bigraded_dimensions,
     diagonal_coefficients,
     graded_character,
@@ -33,6 +33,8 @@ from hyperoct.rings import (
     hilbert_coefficients,
     monomial_order_key,
     monomial_sort,
+    poly_add,
+    poly_sub,
     type_of,
 )
 from signed_perms import all_signed_perms
@@ -237,6 +239,39 @@ def test_mask_straightening_matches_tuple_reference(space, rank):
         assert (got and ring.monomial_of(got[0])) == (hit and tuple(hit)), m
 
 
+def _two_branch_relation(ring, x, y, z):
+    """The relation on three generator images as the paper states it,
+    expanded factor by factor in the free ring: xy - xz - yz in the graded
+    ring, xy(1 - z) + (1 - x)(1 - y)z in the function ring."""
+
+    def prod(*polys):
+        out = {0: 1}
+        for poly in polys:
+            nxt = {}
+            for m1, c1 in out.items():
+                for m2, c2 in poly.items():
+                    if not (ring.graded and m1 & m2):
+                        nxt[m1 | m2] = nxt.get(m1 | m2, 0) + c1 * c2
+            out = {m: c for m, c in nxt.items() if c}
+        return out
+
+    def one_minus(p):
+        return poly_add({m: -c for m, c in p.items()}, {0: 1})
+
+    if ring.graded:
+        return poly_sub(prod(x, y), poly_add(prod(x, z), prod(y, z)))
+    return poly_add(prod(x, y, one_minus(z)), prod(one_minus(x), one_minus(y), z))
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relation_instances_match_the_two_branch_formula(space, n):
+    ring = get_ring(space, n)
+    labels, triples = ring.relation_labels()
+    want = (_two_branch_relation(ring, *(labels[k].masks for k in t)) for t in triples)
+    assert ring._relation_instances() == [r for r in want if r]
+
+
 def test_ring_elements_reject_non_integral_coefficients():
     ring = get_ring("Z3", 2)
     assert RingElement(ring, {(): Fraction(4, 2)}).terms == {(): 2}
@@ -255,15 +290,23 @@ def test_ring_elements_reject_non_integral_coefficients():
     [(s, r) for s in REPRESENTATIONS for r in (1, 2, 3)] + [("Z3", 4), ("Z1", 4)],
 )
 def test_diagonal_coefficients_match_full_action(space, rank):
+    """Each diagonal entry is the coefficient of m in the image of m, formed
+    by the tuple reference: the image of m's prefix times its top
+    generator's image, as the ring's own image routine associates them."""
     ring, acting = _ring_of(space, rank)
     basis = ring.nbc_basis()
     diag = diagonal_coefficients(space, rank)
     assert set(diag) == set(signed_partitions(acting))
+    memo = {}
     for lam, row in diag.items():
         sigma = standard_representative(lam)
+        gens = {g: ring.act_on_generator(sigma, g).terms for g in ring.gens}
+        images = {(): {(): 1}}
         assert len(row) == len(basis)
         for m, got in zip(basis, row):
-            assert got == ring.act(sigma, ring.monomial(m)).coefficient(m), (lam, m)
+            if m:
+                images[m] = _reference_product(ring, images[m[:-1]], gens[m[-1]], memo)
+            assert got == images[m].get(m, 0), (lam, m)
 
 
 def test_action_published_cells():
@@ -417,7 +460,7 @@ def test_bigraded_dimensions_partition_degrees():
 def bigraded_character(n: int) -> dict[tuple[int, int], ClassFunction]:
     """Characters of the (total degree, loop degree) pieces of the graded
     d = 3 ring."""
-    buckets = _basis_buckets("Z3", n, _bidegree)
+    buckets = _basis_buckets("Z3", n, bidegree)
     return {key: _bucket_character("Z3", n, pos) for key, pos in buckets.items()}
 
 
